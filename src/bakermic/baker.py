@@ -146,20 +146,25 @@ def permutation_table(part: BakerPartition) -> np.ndarray:
 
     Entry table[p] is the flat index of the image of point p, so scattering
     values with table realises one application of the map.
+
+    The map is a shuffle of index bits inside each strip: with low = n - q,
+    a point of the strip of width 2**q starting at x0 goes to
+    x' = ((x - x0) << low) | (y & (2**low - 1)) and y' = x0 + (y >> low).
+    That is the wire permutation qcircuit synthesises, and these tables are
+    the ones the cipher's scrambling stages run.  The index splits into a
+    part set by x (through x0 and low) and a part set by y and low, so the
+    table is a per-column term plus one of n + 1 precomputed rows.
     """
     n = part.n
     side = part.side
-    idx = np.arange(side * side, dtype=np.int64)
-    xs = idx >> n
-    ys = idx & (side - 1)
-    sums = np.asarray(part.prefix_sums(), dtype=np.int64)
-    region = np.searchsorted(sums, xs, side="right") - 1
-    qs = np.asarray(part.qs, dtype=np.int64)[region]
-    start = sums[region]
-    h = np.int64(1) << (n - qs)
-    xp = (xs - start) * h + ys % h
-    yp = start + (ys - ys % h) // h
-    return (xp << n) | yp
+    ys = np.arange(side, dtype=np.int64)
+    lows = np.arange(n + 1, dtype=np.int64)[:, None]
+    rows = ((ys & ((1 << lows) - 1)) << n) | (ys >> lows)
+    widths = part.widths
+    low = np.repeat(np.asarray([n - q for q in part.qs], dtype=np.int64), widths)
+    start = np.repeat(np.asarray(part.prefix_sums()[:-1], dtype=np.int64), widths)
+    cols = ((ys - start) << (low + n)) + start
+    return (cols[:, None] + rows[low]).ravel()
 
 
 _BIG_COUNT_LIMIT = 64
@@ -194,6 +199,7 @@ def unrank(n: int, index: int) -> BakerPartition:
     return BakerPartition(n=n, qs=_unrank_qs(n, index))
 
 
+@lru_cache(maxsize=1 << 12)  # keeps the small sub-lattices, where ranks repeat
 def _unrank_qs(n: int, index: int) -> tuple[int, ...]:
     if index == 0:
         return (n,)

@@ -10,11 +10,13 @@ lattices with the same machinery.
 
 from __future__ import annotations
 
-import math
 import os
 from dataclasses import dataclass, field
 
 import numpy as np
+
+
+PGM_MAX_DEPTH = 16  # binary PGM samples hold at most 16 bits
 
 
 class PaddingError(ValueError):
@@ -290,9 +292,9 @@ def save_multi(images: MultiImage, manifest_path: str | os.PathLike) -> list[str
     manifest_path = os.fspath(manifest_path)
     base = os.path.dirname(manifest_path) or "."
     stem = os.path.splitext(os.path.basename(manifest_path))[0]
-    maxval = (1 << images.bit_depth) - 1
-    if maxval >= 65536:
+    if images.bit_depth > PGM_MAX_DEPTH:
         raise ValueError("bit depth too large for PGM output")
+    maxval = (1 << images.bit_depth) - 1
     names = []
     for m in range(images.m_prime):
         name = f"{stem}_{m:02d}.pgm"

@@ -12,7 +12,9 @@ seeds, and the exact plaintext statistics the keystream was seeded from.
 from __future__ import annotations
 
 import dataclasses
+import os
 import struct
+import tempfile
 from dataclasses import dataclass
 
 import numpy as np
@@ -164,7 +166,11 @@ def hex_to_float(text: str) -> float:
 
 
 def write_key(key: SecretKey, path) -> None:
-    """Write the key file: UTF-8 'field = value' lines, reals as hex bits."""
+    """Write the key file: UTF-8 'field = value' lines, reals as hex bits.
+
+    The text goes to a temporary file in the same directory, which then
+    replaces path in one step, so a failed write leaves any old key intact.
+    """
     key.validate()
     lines = [
         f"version = {KEY_VERSION}",
@@ -187,8 +193,15 @@ def write_key(key: SecretKey, path) -> None:
     if key.intensity_sum is not None:
         lines.append(f"intensity_sum = {key.intensity_sum}")
         lines.append(f"bit_count = {key.bit_count}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    path = os.fspath(path)
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".key-")
+    try:
+        with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_key(path) -> SecretKey:
@@ -342,97 +355,126 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
 # Scrambling stages
 
 
-def _iterated_table(n: int, rank: int, rounds: int, cache: dict) -> np.ndarray:
-    """Forward permutation table of unrank(n, rank) applied `rounds` times."""
-    table = cache.get((rank, rounds))
-    if table is None:
-        base = cache.get(rank)
-        if base is None:
-            base = baker.permutation_table(baker.unrank(n, rank))
-            cache[rank] = base
-        table = np.arange(base.size, dtype=np.int64)
-        for _ in range(rounds):
-            table = base[table]
-        cache[(rank, rounds)] = table
-    return table
+_CHUNK = 1 << 15  # entries per index temporary: 256 KiB of intp, so gathers stay in cache
+
+
+def _power(base: np.ndarray, rounds: int) -> np.ndarray:
+    """Every row of base, a stack of forward tables, applied `rounds` times.
+
+    Repeated squaring on the flattened stack: adding each row's offset makes
+    every entry a flat index into the stack, so one 1-D gather composes all
+    rows at once.  Powers of one map commute, so the order is free.
+    """
+    rows, size = base.shape
+    offsets = np.arange(0, rows * size, size, dtype=np.intp)[:, None]
+    power = (base + offsets).ravel()
+    out = np.arange(rows * size, dtype=np.intp)
+    while rounds:
+        if rounds & 1:
+            out = power[out]
+        rounds >>= 1
+        if rounds:
+            power = power[power]
+    return out.reshape(rows, size) - offsets
+
+
+def _tables(n: int, sels: list[tuple[int, int]]) -> np.ndarray:
+    """Forward tables, row i being unrank(n, rank_i) applied rounds_i times.
+
+    Rows sharing a rounds value are powered together, a chunk at a time.
+    The result uses the narrowest unsigned type that holds a lattice index.
+    """
+    ranks = dict.fromkeys(rank for rank, _ in sels)
+    bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in ranks}
+    size = 1 << (2 * n)
+    out = np.empty((len(sels), size), dtype=np.min_scalar_type(size - 1))
+    rounds = np.array([r for _, r in sels], dtype=np.int64)
+    step = max(1, _CHUNK // size)
+    for r in np.unique(rounds):
+        same = np.flatnonzero(rounds == r)
+        for c0 in range(0, same.size, step):
+            rows = same[c0 : c0 + step]
+            out[rows] = _power(np.stack([bases[sels[i][0]] for i in rows]), int(r))
+    return out
+
+
+def _permute(flat: np.ndarray, tables: np.ndarray, codes: np.ndarray, inverse: bool, axis: int) -> np.ndarray:
+    """Permute the C-contiguous 2-D array flat along `axis`, lane by lane.
+
+    Each index along the other axis is a lane; lane j moves by the forward
+    table tables[codes[j]].  The forward direction scatters with it
+    (out[t[i]] = lane[i]), the inverse gathers (out[i] = lane[t[i]]).  Lanes
+    go in chunks of about _CHUNK index entries, and at least one lane.
+    """
+    size, lanes = flat.shape[axis], flat.shape[1 - axis]
+    pos_stride, lane_stride = (lanes, 1) if axis == 0 else (1, size)
+    src = flat.ravel()
+    out = np.empty_like(flat)
+    dst = out.ravel()
+    step = max(1, _CHUNK // size)
+    for c0 in range(0, lanes, step):
+        c1 = min(c0 + step, lanes)
+        lin = np.multiply(tables[codes[c0:c1]], pos_stride, dtype=np.intp)
+        lin += np.arange(c0 * lane_stride, c1 * lane_stride, lane_stride)[:, None]
+        if axis == 0:
+            lin, block = lin.T, (slice(None), slice(c0, c1))
+        else:
+            block = slice(c0, c1)
+        if inverse:
+            out[block] = src[lin]
+        else:
+            dst[lin] = flat[block]
+    return out
+
+
+def _fibres(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
+    """Stage 1 in either direction: one map per pixel over its (image, plane) fibre."""
+    index: dict = {}
+    codes = np.fromiter(
+        (index.setdefault(sel, len(index)) for sel in sched.stage1),
+        dtype=np.intp,
+        count=len(sched.stage1),
+    )
+    flat = stack.bits.reshape(stack.stack_side**2, -1)
+    out = _permute(flat, _tables(stack.k, list(index)), codes, inverse, axis=0)
+    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+
+
+def _slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
+    """Stage 2 in either direction: one map per (image, plane) slice of pixels.
+
+    Tables are built a chunk of slices at a time, since all of them together
+    would take several times the memory of the stack.
+    """
+    flat = stack.bits.reshape(stack.stack_side**2, -1)
+    out = np.empty_like(flat)
+    step = max(1, _CHUNK // flat.shape[1])
+    for c0 in range(0, len(flat), step):
+        sels = sched.stage2[c0 : c0 + step]
+        codes = np.arange(len(sels))
+        out[c0 : c0 + step] = _permute(flat[c0 : c0 + step], _tables(stack.n, sels), codes, inverse, axis=1)
+    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
 
 
 def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
     """Stage 1: permute each pixel's (image, plane) fibre with its own map.
 
-    Pixels sharing a (rank, rounds) selection are moved in one vectorised
-    gather.  A rounds value of 0 leaves the fibre untouched (test hook).
+    A rounds value of 0 leaves the fibre untouched (test hook).
     """
-    s = stack.stack_side
-    side = 1 << stack.n
-    flat = stack.bits.reshape(s * s, side * side)
-    out = np.empty_like(flat)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p, sel in enumerate(sched.stage1):
-        groups.setdefault(sel, []).append(p)
-    cache: dict = {}
-    for (rank, rounds), cols in groups.items():
-        cols = np.asarray(cols, dtype=np.int64)
-        if rounds == 0:
-            out[:, cols] = flat[:, cols]
-            continue
-        fwd = _iterated_table(stack.k, rank, rounds, cache)
-        inv = np.empty_like(fwd)
-        inv[fwd] = np.arange(fwd.size, dtype=np.int64)
-        out[:, cols] = flat[np.ix_(inv, cols)]
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+    return _fibres(stack, sched, inverse=False)
 
 
 def inverse_scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
-    s = stack.stack_side
-    side = 1 << stack.n
-    flat = stack.bits.reshape(s * s, side * side)
-    out = np.empty_like(flat)
-    groups: dict[tuple[int, int], list[int]] = {}
-    for p, sel in enumerate(sched.stage1):
-        groups.setdefault(sel, []).append(p)
-    cache: dict = {}
-    for (rank, rounds), cols in groups.items():
-        cols = np.asarray(cols, dtype=np.int64)
-        if rounds == 0:
-            out[:, cols] = flat[:, cols]
-            continue
-        fwd = _iterated_table(stack.k, rank, rounds, cache)
-        out[:, cols] = flat[np.ix_(fwd, cols)]
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+    return _fibres(stack, sched, inverse=True)
 
 
 def scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
     """Stage 2: permute the pixel lattice of each (image, plane) slice."""
-    s = stack.stack_side
-    side = 1 << stack.n
-    flat = stack.bits.reshape(s * s, side * side)
-    out = np.empty_like(flat)
-    cache: dict = {}
-    for c, (rank, rounds) in enumerate(sched.stage2):
-        if rounds == 0:
-            out[c] = flat[c]
-            continue
-        fwd = _iterated_table(stack.n, rank, rounds, cache)
-        inv = np.empty_like(fwd)
-        inv[fwd] = np.arange(fwd.size, dtype=np.int64)
-        out[c] = flat[c][inv]
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+    return _slices(stack, sched, inverse=False)
 
 
 def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
-    s = stack.stack_side
-    side = 1 << stack.n
-    flat = stack.bits.reshape(s * s, side * side)
-    out = np.empty_like(flat)
-    cache: dict = {}
-    for c, (rank, rounds) in enumerate(sched.stage2):
-        if rounds == 0:
-            out[c] = flat[c]
-            continue
-        fwd = _iterated_table(stack.n, rank, rounds, cache)
-        out[c] = flat[c][fwd]
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+    return _slices(stack, sched, inverse=True)
 
 
 # ---------------------------------------------------------------------------
@@ -467,14 +509,13 @@ def diffuse(
     s = stack.stack_side
     bits = stack.bits.copy()
     sites = 0
-    perms_cache: dict[int, RankPerms] = {}
+    grids: dict[int, np.ndarray] = {}
     for m in range(s):
         src = m % key.m_prime
-        perms = perms_cache.get(src)
-        if perms is None:
+        grid = grids.get(src)
+        if grid is None:
             perms = image_rank_perms(key, seed, m)
-            perms_cache[src] = perms
-        grid = keystream_grid(perms, key.image_params[src].q, key.k)
+            grid = grids[src] = keystream_grid(perms, key.image_params[src].q, key.k)
         for l in range(s):
             plane_key = ((grid >> np.int64(l)) & np.int64(1)).astype(np.uint8)
             bits[m, l] ^= plane_key

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, baker, chaos, qcircuit
-from .brqmi import MultiImage, load_multi, save_multi
+from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi
 from .cipher import decrypt, encrypt, make_key, read_key, write_key
 
 
@@ -30,15 +30,6 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _write_lines(path: str | None, lines: list[str]) -> None:
-    text = "\n".join(lines) + "\n"
-    if path is None or path == "-":
-        sys.stdout.write(text)
-    else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-
-
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -47,11 +38,22 @@ def _write_text(path: str | None, text: str) -> None:
             fh.write(text)
 
 
+def _check_savable(k: int) -> None:
+    """Refuse a geometry whose 2**k-bit ciphertext pixels PGM cannot hold."""
+    if 1 << k > PGM_MAX_DEPTH:
+        raise ValueError(
+            f"ciphertext would need {1 << k}-bit pixels, but PGM output holds at most "
+            f"{PGM_MAX_DEPTH}; use at most {PGM_MAX_DEPTH} images of at most "
+            f"{PGM_MAX_DEPTH} bits"
+        )
+
+
 # ---------------------------------------------------------------------------
 # Subcommand handlers
 
 
 def cmd_keygen(args) -> int:
+    _check_savable(max(args.images - 1, args.depth - 1).bit_length())
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     key = make_key(
         n=args.n,
@@ -71,6 +73,7 @@ def cmd_keygen(args) -> int:
 
 def cmd_encrypt(args) -> int:
     key = read_key(args.key)
+    _check_savable(key.k)
     images = load_multi(args.inp)
     cipher, updated = encrypt(images, key)
     save_multi(cipher, args.out)
@@ -194,14 +197,14 @@ def cmd_circuit_verify(args) -> int:
 def cmd_appendix_henon(args) -> int:
     p = chaos.HenonSineParams(args.lambda1, args.lambda2)
     rows = chaos.emit_trajectory(p, (args.x0, args.y0), args.count)
-    _write_lines(args.out, rows)
+    _write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
 
 def cmd_appendix_chebyshev(args) -> int:
     xs = np.linspace(-1.0, 1.0, args.points)
     rows = chaos.emit_chebyshev_table(args.kmax, list(xs))
-    _write_lines(args.out, rows)
+    _write_text(args.out, "\n".join(rows) + "\n")
     return 0
 
 

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import os
 import random
 
 import numpy as np
@@ -114,6 +115,35 @@ def test_key_file_roundtrip(tmp_path):
     filled = dataclasses.replace(key, intensity_sum=22061, bit_count=749)
     write_key(filled, path)
     assert read_key(path) == filled
+
+
+def test_key_write_failure_keeps_old_key(tmp_path, monkeypatch):
+    path = tmp_path / "a.key"
+    write_key(fixed_small_key(), path)
+    before = path.read_bytes()
+
+    class HalfWriter:
+        def __init__(self, fh):
+            self.fh = fh
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.fh.close()
+
+        def write(self, text):
+            self.fh.write(text[: len(text) // 2])
+            self.fh.flush()
+            raise OSError("disk full")
+
+    real_fdopen = os.fdopen
+    monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
+    filled = dataclasses.replace(fixed_small_key(), intensity_sum=22061, bit_count=749)
+    with pytest.raises(OSError, match="disk full"):
+        write_key(filled, path)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.key"]
 
 
 def test_key_file_strictness(tmp_path):

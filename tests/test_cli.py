@@ -1,7 +1,9 @@
+import random
+
 import numpy as np
 
 from bakermic.brqmi import load_multi, save_multi
-from bakermic.cipher import read_key
+from bakermic.cipher import make_key, read_key, write_key
 from bakermic.cli import main
 
 from conftest import natural_images, random_images
@@ -193,3 +195,28 @@ def test_io_errors(tmp_path, capsys):
     out = tmp_path / "c.txt"
     assert run("encrypt", "--in", str(missing), "--key", str(key), "--out", str(out)) == 2
     assert "error" in capsys.readouterr().err
+
+
+def test_unsavable_geometry_refused_before_work(tmp_path, capsys, monkeypatch):
+    # 17 images need k = 5: 32-bit ciphertext pixels, beyond PGM's 16
+    def no_work(*args):
+        raise AssertionError("the cipher ran before the refusal")
+
+    monkeypatch.setattr("bakermic.cli.encrypt", no_work)
+    monkeypatch.setattr("bakermic.cli.make_key", no_work)
+    key = tmp_path / "k.key"
+    assert run("keygen", "--key", str(key), "--n", "2", "--images", "17", "--seed", "1") == 2
+    assert "at most 16" in capsys.readouterr().err
+    assert not key.exists()
+
+    write_key(make_key(2, 17, 8, random.Random(1)), key)
+    before = key.read_bytes()
+    plain = tmp_path / "plain" / "set.txt"
+    plain.parent.mkdir()
+    save_multi(random_images(n=2, count=17, seed=3), plain)
+    out = tmp_path / "cipher" / "set.txt"
+    out.parent.mkdir()
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(out)) == 2
+    assert "at most 16" in capsys.readouterr().err
+    assert list(out.parent.iterdir()) == []
+    assert key.read_bytes() == before
