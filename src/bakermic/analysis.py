@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brqmi import MultiImage
-from .cipher import SecretKey, decrypt
+from .cipher import Prepared, SecretKey, decrypt
 
 DIRECTIONS = {
     "horizontal": (0, 1),
@@ -126,10 +126,14 @@ def occlusion_test(
     key: SecretKey,
     plain: MultiImage,
     block: tuple[int, int, int, int],
+    prepared: Prepared | None = None,
 ) -> np.ndarray:
-    """Per-image PSNR of decryption after zeroing a ciphertext block."""
+    """Per-image PSNR of decryption after zeroing a ciphertext block.
+
+    prepared, from cipher.prepare(key), is passed on to the decrypt.
+    """
     damaged = occlude(cipher, block)
-    recovered, _ = decrypt(damaged, key)
+    recovered, _ = decrypt(damaged, key, prepared=prepared)
     return np.array(
         [
             psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)
@@ -144,10 +148,14 @@ def noise_test(
     plain: MultiImage,
     density: float,
     seed: int = 0,
+    prepared: Prepared | None = None,
 ) -> np.ndarray:
-    """Per-image PSNR of decryption after salt-and-pepper ciphertext noise."""
+    """Per-image PSNR of decryption after salt-and-pepper ciphertext noise.
+
+    prepared is as for occlusion_test.
+    """
     noisy = add_salt_pepper(cipher, density, seed=seed)
-    recovered, _ = decrypt(noisy, key)
+    recovered, _ = decrypt(noisy, key, prepared=prepared)
     return np.array(
         [
             psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)

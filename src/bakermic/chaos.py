@@ -14,8 +14,8 @@ import io
 import math
 from dataclasses import dataclass
 
-import mpmath
 import numpy as np
+from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_nearest, to_float
 
 from .brqmi import MultiImage
 
@@ -45,12 +45,18 @@ def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, floa
     return x2, y2
 
 
+# Working precision of the trig form: the 136 bits that mpmath.workdps(40) sets.
+_CHEB_PREC = 136
+
+
 def chebyshev(k: int, x: float) -> float:
     """Chebyshev polynomial T_k(x) on [-1, 1] via the closed trig form.
 
     Evaluated at 40 working digits and rounded once, so the defining
     identity T_k(cos t) = cos(k t) survives orders up to about 10**6 at
-    double precision instead of degrading by k ulps.
+    double precision instead of degrading by k ulps.  The mpmath.libmp calls
+    are the ones float(mpmath.cos(k * mpmath.acos(mpmath.mpf(x)))) makes
+    under workdps(40), without the wrapper and context overhead.
     """
     k = int(k)
     if k < 0:
@@ -61,8 +67,9 @@ def chebyshev(k: int, x: float) -> float:
         return 1.0
     if k == 1:
         return float(x)
-    with mpmath.mp.workdps(40):
-        return float(mpmath.cos(k * mpmath.acos(mpmath.mpf(x))))
+    prec, rnd = _CHEB_PREC, round_nearest
+    t = mpf_mul_int(mpf_acos(from_float(x), prec, rnd), k, prec, rnd)
+    return to_float(mpf_cos(t, prec, rnd), rnd=rnd)
 
 
 # ---------------------------------------------------------------------------
@@ -110,6 +117,27 @@ def derive_seed(images: MultiImage) -> SeedMaterial:
 # Distinct orbit values and rank permutations
 
 
+class DegenerateKeyError(RuntimeError):
+    """A chaotic orbit gave fewer distinct values than the cipher needs.
+
+    found holds the distinct counts reached on x and on y, iterations the
+    steps taken after burn-in, and cycled whether the orbit was seen to
+    repeat (otherwise the iteration budget ran out).  image, when known, is
+    the stack image whose orbit failed.
+    """
+
+    def __init__(
+        self, count: int, found: tuple[int, int], iterations: int, cycled: bool, image: int | None = None
+    ):
+        self.count, self.found, self.iterations, self.cycled, self.image = count, found, iterations, cycled, image
+        why = "the orbit entered a cycle" if cycled else "the iteration budget ran out"
+        where = "" if image is None else f" for image {image}"
+        super().__init__(
+            f"orbit produced fewer than {count} distinct values{where}: {found[0]} on x and "
+            f"{found[1]} on y after {iterations} iterations, when {why}; parameters look degenerate"
+        )
+
+
 def distinct_sequence(
     seed: tuple[float, float],
     p: HenonSineParams,
@@ -120,20 +148,26 @@ def distinct_sequence(
 
     Runs a 100-step burn-in, then records x and y values independently in
     order of first appearance (value equality, so ranks are well defined).
-    Raises RuntimeError if the orbit fails to produce enough distinct values
-    within the iteration budget, which flags a degenerate parameter choice.
+    Raises DegenerateKeyError if the orbit fails to produce enough distinct
+    values, which flags a degenerate parameter choice.  Brent's cycle test
+    on the exact (x, y) state stops the search as soon as the orbit repeats,
+    since no new value can appear after that; max_iterations is a backstop.
+    The step is henon_sine_step with its constants hoisted (same floats).
     """
     if count < 1:
         raise ValueError("count must be positive")
+    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
     x, y = seed
     for _ in range(100):
-        x, y = henon_sine_step(x, y, p)
+        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
     xs: list[float] = []
     ys: list[float] = []
     seen_x: set[float] = set()
     seen_y: set[float] = set()
-    for _ in range(max_iterations):
-        x, y = henon_sine_step(x, y, p)
+    # Brent: compare each state with one saved at the last power-of-two step
+    saved_x, saved_y, save_at = x, y, 1
+    for it in range(1, max_iterations + 1):
+        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
         if len(xs) < count and x not in seen_x:
             seen_x.add(x)
             xs.append(x)
@@ -142,10 +176,11 @@ def distinct_sequence(
             ys.append(y)
         if len(xs) == count and len(ys) == count:
             return xs, ys
-    raise RuntimeError(
-        f"orbit produced fewer than {count} distinct values within "
-        f"{max_iterations} iterations; parameters look degenerate"
-    )
+        if x == saved_x and y == saved_y:
+            raise DegenerateKeyError(count, (len(xs), len(ys)), it, cycled=True)
+        if it == save_at:
+            saved_x, saved_y, save_at = x, y, 2 * save_at
+    raise DegenerateKeyError(count, (len(xs), len(ys)), max_iterations, cycled=False)
 
 
 @dataclass(frozen=True)
@@ -209,7 +244,8 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
     """All keystream integers of one image as a (side, side) array.
 
     Matches key_int entrywise (same float evaluation order) but computes the
-    Chebyshev factors once per row/column instead of once per pixel.
+    Chebyshev factors once per row/column instead of once per pixel.  The
+    array has the narrowest unsigned type that holds 2**(2**k) - 1.
     """
     side = len(perms.s)
     width = 1 << k
@@ -222,7 +258,7 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
         [chebyshev(perms.t[j], perms.xs[side - 1 - j]) for j in range(side)]
     )
     v = np.floor(np.outer(a, b) * float(10**q)).astype(np.int64)
-    return v % np.int64(1 << width)
+    return (v % np.int64(1 << width)).astype(np.min_scalar_type((1 << width) - 1))
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ seeds, and the exact plaintext statistics the keystream was seeded from.
 from __future__ import annotations
 
 import dataclasses
+import functools
+import math
 import os
 import struct
 import tempfile
@@ -22,12 +24,12 @@ import numpy as np
 from . import baker
 from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all
 from .chaos import (
+    DegenerateKeyError,
     HenonSineParams,
     RankPerms,
     SeedMaterial,
     derive_seed,
     distinct_sequence,
-    henon_sine_step,
     keystream_grid,
     rank_perms,
     seed_from_sums,
@@ -299,28 +301,45 @@ class KeySchedule:
     stage1: list[tuple[int, int]]
     stage2: list[tuple[int, int]]
 
+    @functools.cached_property
+    def stage1_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, tables): pixel p moves its fibre by tables[codes[p]].
+
+        One powered table per distinct selection, built on first use and
+        kept for every later stage-1 pass under this schedule.
+        """
+        index: dict = {}
+        codes = np.fromiter(
+            (index.setdefault(sel, len(index)) for sel in self.stage1),
+            dtype=np.intp,
+            count=len(self.stage1),
+        )
+        return codes, _tables(self.k, list(index))
+
 
 def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     """Raw generator draws: (value mod modulus, rounds in [1, r_max]) pairs.
 
     Accumulates 64 guard bits beyond the modulus width per draw so the
-    reduction bias is far below observability.
+    reduction bias is far below observability.  The generator is
+    chaos.henon_sine_step with its constants hoisted (same floats).
     """
     p = HenonSineParams(params.lambda1, params.lambda2)
+    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
     x, y = params.x0, params.y0
     for _ in range(100):
-        x, y = henon_sine_step(x, y, p)
+        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
     words_needed = (modulus.bit_length() + 64 + 31) // 32
     out = []
     for _ in range(count):
         acc = 0
         for _ in range(words_needed):
-            x, y = henon_sine_step(x, y, p)
+            x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
             w = int((x + 1.0) * 0.5 * 4294967296.0)
             if w > 0xFFFFFFFF:
                 w = 0xFFFFFFFF
             acc = (acc << 32) | w
-        x, y = henon_sine_step(x, y, p)
+        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
         w = int((x + 1.0) * 0.5 * 4294967296.0)
         if w > 0xFFFFFFFF:
             w = 0xFFFFFFFF
@@ -429,14 +448,9 @@ def _permute(flat: np.ndarray, tables: np.ndarray, codes: np.ndarray, inverse: b
 
 def _fibres(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 1 in either direction: one map per pixel over its (image, plane) fibre."""
-    index: dict = {}
-    codes = np.fromiter(
-        (index.setdefault(sel, len(index)) for sel in sched.stage1),
-        dtype=np.intp,
-        count=len(sched.stage1),
-    )
+    codes, tables = sched.stage1_tables
     flat = stack.bits.reshape(stack.stack_side**2, -1)
-    out = _permute(flat, _tables(stack.k, list(index)), codes, inverse, axis=0)
+    out = _permute(flat, tables, codes, inverse, axis=0)
     return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
 
 
@@ -484,11 +498,14 @@ def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitP
 def image_rank_perms(key: SecretKey, seed: SeedMaterial, m: int) -> RankPerms:
     """Rank permutations for stack image m; padded images reuse m mod M'."""
     ip = key.image_params[m % key.m_prime]
-    xs, ys = distinct_sequence(
-        (seed.x0, seed.y0),
-        HenonSineParams(ip.lambda1, ip.lambda2),
-        count=1 << key.n,
-    )
+    try:
+        xs, ys = distinct_sequence(
+            (seed.x0, seed.y0),
+            HenonSineParams(ip.lambda1, ip.lambda2),
+            count=1 << key.n,
+        )
+    except DegenerateKeyError as exc:
+        raise DegenerateKeyError(exc.count, exc.found, exc.iterations, exc.cycled, image=m) from None
     return rank_perms(xs, ys)
 
 
@@ -497,6 +514,7 @@ def diffuse(
     key: SecretKey,
     seed: SeedMaterial,
     stats: dict | None = None,
+    grids: dict[int, np.ndarray] | None = None,
 ) -> BitPlaneStack:
     """XOR the keystream over every bit site; self-inverse by construction.
 
@@ -504,12 +522,15 @@ def diffuse(
     of the keystream integer at (image, x, y).  Padded images take the
     parameter triple of image m mod M', so all 2**k images get live
     keystream.  When stats is given, stats['xor_sites'] receives the number
-    of sites actually touched.
+    of sites actually touched.  grids, when given, maps source image m mod M'
+    to its keystream grid under this key and seed; missing grids are
+    computed into it, so later passes with the same seed can reuse them.
     """
     s = stack.stack_side
     bits = stack.bits.copy()
     sites = 0
-    grids: dict[int, np.ndarray] = {}
+    if grids is None:
+        grids = {}
     for m in range(s):
         src = m % key.m_prime
         grid = grids.get(src)
@@ -517,7 +538,7 @@ def diffuse(
             perms = image_rank_perms(key, seed, m)
             grid = grids[src] = keystream_grid(perms, key.image_params[src].q, key.k)
         for l in range(s):
-            plane_key = ((grid >> np.int64(l)) & np.int64(1)).astype(np.uint8)
+            plane_key = ((grid >> l) & 1).astype(np.uint8)
             bits[m, l] ^= plane_key
             sites += plane_key.size
     if stats is not None:
@@ -529,35 +550,75 @@ def diffuse(
 # Whole-pipeline entry points
 
 
-def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
+class Prepared:
+    """Key-derived material shared by every pass under one key.
+
+    Holds the key schedule, whose stage-1 tables are built on first use,
+    and the keystream grids of each plaintext seed, keyed by the
+    (intensity_sum, bit_count) pair the seed comes from.  Nothing is
+    computed before a pass needs it, and all of it lives only as long as
+    this object.  Stage-2 tables are not kept: at n=9 they would take 67 MB.
+    """
+
+    def __init__(self, key: SecretKey):
+        key.validate()
+        self.key = dataclasses.replace(key, intensity_sum=None, bit_count=None)
+        self.grids: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+
+    @functools.cached_property
+    def schedule(self) -> KeySchedule:
+        return derive_schedule(self.key)
+
+    def check(self, key: SecretKey) -> Prepared:
+        """Return self if key differs from the prepared key at most in its sums."""
+        if dataclasses.replace(key, intensity_sum=None, bit_count=None) != self.key:
+            raise ValueError("prepared material belongs to a different key")
+        return self
+
+    def grids_for(self, seed: SeedMaterial) -> dict[int, np.ndarray]:
+        return self.grids.setdefault((seed.intensity_sum, seed.bit_count), {})
+
+
+def prepare(key: SecretKey) -> Prepared:
+    """Prepare a key for several encrypt/decrypt passes (see Prepared)."""
+    return Prepared(key)
+
+
+def encrypt(
+    images: MultiImage, key: SecretKey, prepared: Prepared | None = None
+) -> tuple[MultiImage, SecretKey]:
     """Encrypt an image set.
 
     Returns the ciphertext (2**k images of 2**k-bit pixels) and the key
     updated with the exact plaintext statistics; the updated key must be
-    stored, since decryption reseeds the keystream from it.
+    stored, since decryption reseeds the keystream from it.  prepared, from
+    prepare(key), carries key-derived material across passes.
     """
     key.validate()
     if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
         raise ValueError("key geometry does not match the image set")
+    prepared = prepare(key) if prepared is None else prepared.check(key)
     seed = derive_seed(images)
     key = dataclasses.replace(
         key, intensity_sum=seed.intensity_sum, bit_count=seed.bit_count
     )
-    sched = derive_schedule(key)
+    sched = prepared.schedule
     stack = decompose(images)
     stack = scramble_images_planes(stack, sched)
     stack = scramble_positions(stack, sched)
-    stack = diffuse(stack, key, seed)
+    stack = diffuse(stack, key, seed, grids=prepared.grids_for(seed))
     return recompose_all(stack), key
 
 
-def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
+def decrypt(
+    cipher: MultiImage, key: SecretKey, prepared: Prepared | None = None
+) -> tuple[MultiImage, int]:
     """Invert the pipeline; returns (images, stray_padding_bits).
 
     stray_padding_bits counts set bits left in padding slots after
     inversion.  Zero means clean recovery; anything else signals a wrong
     key or corrupted ciphertext, but the recovered images are still
-    returned for inspection.
+    returned for inspection.  prepared is as for encrypt.
     """
     key.validate()
     if key.intensity_sum is None:
@@ -565,12 +626,13 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     s = 1 << key.k
     if cipher.n != key.n or cipher.m_prime != s or cipher.bit_depth != s:
         raise ValueError("ciphertext geometry does not match the key")
+    prepared = prepare(key) if prepared is None else prepared.check(key)
     seed = seed_from_sums(
         key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n
     )
-    sched = derive_schedule(key)
+    sched = prepared.schedule
     stack = decompose(cipher)
-    stack = diffuse(stack, key, seed)
+    stack = diffuse(stack, key, seed, grids=prepared.grids_for(seed))
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
     stack = BitPlaneStack(

@@ -18,7 +18,8 @@ import numpy as np
 
 from . import analysis, baker, chaos, qcircuit
 from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi
-from .cipher import decrypt, encrypt, make_key, read_key, write_key
+from .chaos import DegenerateKeyError
+from .cipher import decrypt, encrypt, make_key, prepare, read_key, write_key
 
 
 class UsageError(Exception):
@@ -135,8 +136,9 @@ def cmd_analyze(args) -> int:
             raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
         key = read_key(args.key)
         plain = load_multi(args.inp)
-        cipher1, key1 = encrypt(plain, key)
-        cipher2, _ = encrypt(_flip_one_bit(plain), key)
+        prepared = prepare(key)
+        cipher1, key1 = encrypt(plain, key, prepared=prepared)
+        cipher2, _ = encrypt(_flip_one_bit(plain), key, prepared=prepared)
         _set_metrics(report, cipher1, args.seed)
         report.npcr, report.uaci = analysis.npcr_uaci(
             cipher1.pixels, cipher2.pixels, cipher1.bit_depth
@@ -148,11 +150,11 @@ def cmd_analyze(args) -> int:
             block = tuple(int(v) for v in args.block.split(","))
             if len(block) != 4:
                 raise UsageError("--block wants x,y,width,height")
-            series = analysis.occlusion_test(cipher1, key1, plain, block)
+            series = analysis.occlusion_test(cipher1, key1, plain, block, prepared=prepared)
             report.psnr_series["occlusion"] = list(series)
         if args.density is not None:
             series = analysis.noise_test(
-                cipher1, key1, plain, args.density, seed=args.seed
+                cipher1, key1, plain, args.density, seed=args.seed, prepared=prepared
             )
             report.psnr_series[f"noise_{args.density:g}"] = list(series)
     _write_text(args.out, report.render())
@@ -214,12 +216,6 @@ def cmd_appendix_chebyshev(args) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="bakermic", description=__doc__)
-    parser.add_argument(
-        "--threads",
-        type=int,
-        default=1,
-        help="cap on worker threads (the current implementation is single-process)",
-    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("keygen", help="draw a fresh key file")
@@ -312,14 +308,14 @@ def main(argv=None) -> int:
         return 1
     except SystemExit as exc:  # --help
         return int(exc.code or 0)
-    if args.threads < 1:
-        print("usage error: --threads must be at least 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 1
+    except DegenerateKeyError as exc:
+        print(f"error: {exc}; draw a new key", file=sys.stderr)
+        return 2
     except (ValueError, OSError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

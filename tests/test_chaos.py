@@ -6,6 +6,7 @@ import pytest
 
 from bakermic.brqmi import MultiImage
 from bakermic.chaos import (
+    DegenerateKeyError,
     HenonSineParams,
     chebyshev,
     derive_seed,
@@ -73,6 +74,29 @@ def test_chebyshev_recurrence_agreement():
             assert chebyshev(k, x) == pytest.approx(t_cur, abs=1e-10)
 
 
+def workdps_chebyshev(k, x):
+    """Reference: the plain mpmath form at 40 working digits."""
+    if k == 0:
+        return 1.0
+    if k == 1:
+        return float(x)
+    with mpmath.mp.workdps(40):
+        return float(mpmath.cos(k * mpmath.acos(mpmath.mpf(x))))
+
+
+def test_chebyshev_matches_workdps_form():
+    rng = np.random.default_rng(2024)
+    edges = [(k, x) for k in (0, 1, 2, 3, 10**6) for x in (-1.0, -0.0, 0.0, 1.0)]
+    orders = np.concatenate(
+        [rng.integers(0, 100, 600), rng.integers(0, 70_000, 600), rng.integers(0, 10**6 + 1, 600)]
+    )
+    sample = edges + [(int(k), float(x)) for k, x in zip(orders, rng.uniform(-1.0, 1.0, orders.size))]
+    for k, x in sample:
+        want = workdps_chebyshev(k, x)
+        got = chebyshev(k, x)
+        assert got == want and math.copysign(1.0, got) == math.copysign(1.0, want), (k, x)
+
+
 def test_chebyshev_domain_errors():
     with pytest.raises(ValueError):
         chebyshev(3, 1.0001)
@@ -134,6 +158,40 @@ def test_distinct_sequence_properties():
         distinct_sequence((0.2, 0.1), p, count=0)
     with pytest.raises(RuntimeError):
         distinct_sequence((0.2, 0.1), p, count=1000, max_iterations=10)
+
+
+def stepped_distinct_sequence(seed, p, count):
+    """Reference: the same collection driven by henon_sine_step itself."""
+    x, y = seed
+    for _ in range(100):
+        x, y = henon_sine_step(x, y, p)
+    xs, ys = [], []
+    while len(xs) < count or len(ys) < count:
+        x, y = henon_sine_step(x, y, p)
+        if len(xs) < count and x not in xs:
+            xs.append(x)
+        if len(ys) < count and y not in ys:
+            ys.append(y)
+    return xs, ys
+
+
+@pytest.mark.parametrize("lambdas", [(2.0, 2.0), (3.3, 2.9), (7.9, 5.1)])
+def test_distinct_sequence_hoisted_step_is_exact(lambdas):
+    p = HenonSineParams(*lambdas)
+    assert distinct_sequence((0.37, -0.81), p, count=128) == stepped_distinct_sequence((0.37, -0.81), p, 128)
+
+
+def test_degenerate_orbit_fails_at_its_cycle():
+    p = HenonSineParams(1.1, 1.05)  # falls onto a short cycle within a few steps
+    with pytest.raises(DegenerateKeyError, match="^orbit produced fewer than 16 distinct values") as info:
+        distinct_sequence((0.5, 0.5), p, count=16)
+    err = info.value
+    assert err.cycled and err.count == 16 and err.image is None
+    assert err.found == (2, 2) and err.iterations < 10
+    # the budget backstop reports the same shortfall, without a cycle seen
+    with pytest.raises(DegenerateKeyError) as info:
+        distinct_sequence((0.2, 0.1), HenonSineParams(3.3, 2.9), count=1000, max_iterations=10)
+    assert not info.value.cycled and info.value.iterations == 10 and info.value.found == (10, 10)
 
 
 def test_rank_perms():

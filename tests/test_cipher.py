@@ -8,11 +8,12 @@ import pytest
 
 from bakermic.baker import count_partitions
 from bakermic.brqmi import MultiImage, decompose
-from bakermic.chaos import derive_seed, key_int
+from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step, key_int
 from bakermic.cipher import (
     ImageParams,
     KeySchedule,
     ScheduleParams,
+    _draws,
     SecretKey,
     decrypt,
     derive_schedule,
@@ -30,7 +31,7 @@ from bakermic.cipher import (
     write_key,
 )
 
-from conftest import random_images
+from conftest import natural_images, random_images
 
 
 def fixed_small_key(n=2, m_prime=2, bit_depth=4):
@@ -198,6 +199,30 @@ def test_derive_schedule_shape():
     assert derive_schedule(key) == sched
 
 
+def stepped_draws(params, modulus, r_max, count):
+    """Reference: _draws driven by henon_sine_step itself."""
+    p = HenonSineParams(params.lambda1, params.lambda2)
+    x, y = params.x0, params.y0
+    for _ in range(100):
+        x, y = henon_sine_step(x, y, p)
+    words = (modulus.bit_length() + 64 + 31) // 32
+    out = []
+    for _ in range(count):
+        ws = []
+        for _ in range(words + 1):
+            x, y = henon_sine_step(x, y, p)
+            ws.append(min(int((x + 1.0) * 0.5 * 4294967296.0), 0xFFFFFFFF))
+        out.append((int.from_bytes(b"".join(w.to_bytes(4, "big") for w in ws[:-1]), "big") % modulus,
+                    ws[-1] % r_max + 1))
+    return out
+
+
+@pytest.mark.parametrize("modulus", [26, 10**40 + 7])
+def test_draws_hoisted_step_is_exact(modulus):
+    params = ScheduleParams(4.75, 2.125, -0.3, 0.6)
+    assert _draws(params, modulus, 5, 300) == stepped_draws(params, modulus, 5, 300)
+
+
 def test_schedule_depends_on_stage_seeds():
     key = fixed_small_key()
     moved = dataclasses.replace(key, stage_a=ScheduleParams(2.5, 3.25, 0.21, -0.7))
@@ -285,6 +310,19 @@ def test_encrypt_decrypt_roundtrip():
     assert stray == 0
     assert back.m_prime == 3 and back.bit_depth == 8
     assert np.array_equal(back.pixels, images.pixels)
+
+
+def test_degenerate_orbit_fails_fast():
+    # The flipped plaintext reseeds image 0's orbit into a 2-cycle 257 steps
+    # after burn-in; the unflipped one encrypts normally.
+    key = make_key(8, 3, 8, random.Random(9001))
+    images = natural_images(8, 3, seed=7001)
+    pixels = images.pixels.copy()
+    pixels[0, 0, 0] ^= 1
+    with pytest.raises(DegenerateKeyError, match="^orbit produced fewer than 256 distinct values for image 0") as info:
+        encrypt(MultiImage(n=8, bit_depth=8, pixels=pixels), key)
+    assert info.value.image == 0 and info.value.cycled
+    assert info.value.iterations < 1000  # the whole budget is 10**7
 
 
 def test_encrypt_key_not_mutated():

@@ -3,6 +3,7 @@ import random
 import numpy as np
 
 from bakermic.brqmi import load_multi, save_multi
+from bakermic.chaos import DegenerateKeyError
 from bakermic.cipher import make_key, read_key, write_key
 from bakermic.cli import main
 
@@ -183,8 +184,6 @@ def test_usage_errors(tmp_path, capsys):
     assert run() == 1
     assert run("partitions") == 1
     assert run("keygen", "--n", "3", "--images", "1") == 1  # --key missing
-    assert run("--threads", "0", "partitions", "count", "1") == 1
-    assert run("--threads", "2", "partitions", "count", "1") == 0
     capsys.readouterr()
 
 
@@ -220,3 +219,19 @@ def test_unsavable_geometry_refused_before_work(tmp_path, capsys, monkeypatch):
     assert "at most 16" in capsys.readouterr().err
     assert list(out.parent.iterdir()) == []
     assert key.read_bytes() == before
+
+
+def test_degenerate_key_asks_for_a_new_one(tmp_path, capsys, monkeypatch):
+    def degenerate(images, key):
+        raise DegenerateKeyError(16, (2, 16), 40, cycled=True, image=1)
+
+    monkeypatch.setattr("bakermic.cli.encrypt", degenerate)
+    key = tmp_path / "k.key"
+    assert run("keygen", "--key", str(key), "--n", "2", "--images", "2", "--seed", "1") == 0
+    plain = tmp_path / "plain.txt"
+    save_multi(random_images(n=2, count=2, seed=3), plain)
+    capsys.readouterr()
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(tmp_path / "c.txt")) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: orbit produced fewer than 16 distinct values for image 1")
+    assert err.rstrip().endswith("; draw a new key")
