@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brqmi import MultiImage
-from .cipher import Prepared, SecretKey, decrypt
+from .cipher import SecretKey, decrypt
 
 DIRECTIONS = {
     "horizontal": (0, 1),
@@ -126,14 +126,10 @@ def occlusion_test(
     key: SecretKey,
     plain: MultiImage,
     block: tuple[int, int, int, int],
-    prepared: Prepared | None = None,
 ) -> np.ndarray:
-    """Per-image PSNR of decryption after zeroing a ciphertext block.
-
-    prepared, from cipher.prepare(key), is passed on to the decrypt.
-    """
+    """Per-image PSNR of decryption after zeroing a ciphertext block."""
     damaged = occlude(cipher, block)
-    recovered, _ = decrypt(damaged, key, prepared=prepared)
+    recovered, _ = decrypt(damaged, key)
     return np.array(
         [
             psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)
@@ -148,14 +144,10 @@ def noise_test(
     plain: MultiImage,
     density: float,
     seed: int = 0,
-    prepared: Prepared | None = None,
 ) -> np.ndarray:
-    """Per-image PSNR of decryption after salt-and-pepper ciphertext noise.
-
-    prepared is as for occlusion_test.
-    """
+    """Per-image PSNR of decryption after salt-and-pepper ciphertext noise."""
     noisy = add_salt_pepper(cipher, density, seed=seed)
-    recovered, _ = decrypt(noisy, key, prepared=prepared)
+    recovered, _ = decrypt(noisy, key)
     return np.array(
         [
             psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)

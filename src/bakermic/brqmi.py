@@ -11,6 +11,7 @@ lattices with the same machinery.
 from __future__ import annotations
 
 import os
+import tempfile
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -150,6 +151,14 @@ def decompose(images: MultiImage) -> BitPlaneStack:
     )
 
 
+def _weigh(n: int, planes: np.ndarray) -> MultiImage:
+    """Images whose pixels weight planes[m, l] by 2**l, one per planes[m]."""
+    depth = planes.shape[1]
+    weights = (np.uint64(1) << np.arange(depth, dtype=np.uint64)).reshape(1, -1, 1, 1)
+    values = (planes.astype(np.uint64) * weights).sum(axis=1)
+    return MultiImage(n=n, bit_depth=depth, pixels=values)
+
+
 def recompose(stack: BitPlaneStack, check_padding: bool = True) -> MultiImage:
     """Rebuild the m_prime source images from plane slices.
 
@@ -161,12 +170,7 @@ def recompose(stack: BitPlaneStack, check_padding: bool = True) -> MultiImage:
         stray = stack.padding_bit_count()
         if stray:
             raise PaddingError(f"{stray} set bits in padding slots")
-    weights = (np.uint64(1) << np.arange(stack.bit_depth, dtype=np.uint64)).reshape(
-        1, -1, 1, 1
-    )
-    planes = stack.bits[: stack.m_prime, : stack.bit_depth].astype(np.uint64)
-    values = (planes * weights).sum(axis=1)
-    return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=values)
+    return _weigh(stack.n, stack.bits[: stack.m_prime, : stack.bit_depth])
 
 
 def recompose_all(stack: BitPlaneStack) -> MultiImage:
@@ -175,14 +179,35 @@ def recompose_all(stack: BitPlaneStack) -> MultiImage:
     Produces 2**k images of 2**k-bit pixels; that is the on-disk shape of
     ciphertext, where scrambling has moved live bits into padding slots.
     """
-    s = stack.stack_side
-    weights = (np.uint64(1) << np.arange(s, dtype=np.uint64)).reshape(1, -1, 1, 1)
-    values = (stack.bits.astype(np.uint64) * weights).sum(axis=1)
-    return MultiImage(n=stack.n, bit_depth=s, pixels=values)
+    return _weigh(stack.n, stack.bits)
 
 
 # ---------------------------------------------------------------------------
 # PGM and manifest I/O
+
+
+def write_atomic(path: str | os.PathLike, data: bytes) -> None:
+    """Write data to path, all or nothing.
+
+    The bytes go to a temporary file in the same directory (mode 0600, from
+    mkstemp), which then replaces path in one step, so a failed write leaves
+    any old file intact and no temporary file behind.  A symlink is followed
+    to the file it names; a device or pipe (say /dev/null) is written in
+    place, since it cannot be replaced.
+    """
+    path = os.path.realpath(path)
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "wb") as fh:
+            fh.write(data)
+        return
+    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix="." + os.path.basename(path) + ".")
+    try:
+        with os.fdopen(fd, "wb") as fh:
+            fh.write(data)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
@@ -235,9 +260,7 @@ def write_pgm(path: str | os.PathLike, pixels: np.ndarray, maxval: int) -> None:
         raise ValueError("sample exceeds maxval")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")
     header = f"P5\n{pixels.shape[1]} {pixels.shape[0]}\n{maxval}\n".encode()
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(pixels.astype(dtype).tobytes())
+    write_atomic(path, header + pixels.astype(dtype).tobytes())
 
 
 def load_multi(manifest_path: str | os.PathLike, bit_depth: int | None = None) -> MultiImage:
@@ -300,8 +323,6 @@ def save_multi(images: MultiImage, manifest_path: str | os.PathLike) -> list[str
         name = f"{stem}_{m:02d}.pgm"
         write_pgm(os.path.join(base, name), images.pixels[m], maxval)
         names.append(name)
-    with open(manifest_path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {images.m_prime} images, {images.side}x{images.side}, maxval {maxval}\n")
-        for name in names:
-            fh.write(name + "\n")
+    header = f"# {images.m_prime} images, {images.side}x{images.side}, maxval {maxval}\n"
+    write_atomic(manifest_path, (header + "".join(name + "\n" for name in names)).encode())
     return names

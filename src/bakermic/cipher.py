@@ -14,15 +14,14 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
-import os
 import struct
-import tempfile
+import threading
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import baker
-from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all
+from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, write_atomic
 from .chaos import (
     DegenerateKeyError,
     HenonSineParams,
@@ -170,8 +169,8 @@ def hex_to_float(text: str) -> float:
 def write_key(key: SecretKey, path) -> None:
     """Write the key file: UTF-8 'field = value' lines, reals as hex bits.
 
-    The text goes to a temporary file in the same directory, which then
-    replaces path in one step, so a failed write leaves any old key intact.
+    The write is atomic (brqmi.write_atomic), so a failed write leaves any
+    old key intact.
     """
     key.validate()
     lines = [
@@ -195,15 +194,7 @@ def write_key(key: SecretKey, path) -> None:
     if key.intensity_sum is not None:
         lines.append(f"intensity_sum = {key.intensity_sum}")
         lines.append(f"bit_count = {key.bit_count}")
-    path = os.fspath(path)
-    fd, tmp = tempfile.mkstemp(dir=os.path.dirname(path) or ".", prefix=".key-")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            fh.write("\n".join(lines) + "\n")
-        os.replace(tmp, path)
-    except BaseException:
-        os.unlink(tmp)
-        raise
+    write_atomic(path, ("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def read_key(path) -> SecretKey:
@@ -509,34 +500,21 @@ def image_rank_perms(key: SecretKey, seed: SeedMaterial, m: int) -> RankPerms:
     return rank_perms(xs, ys)
 
 
-def diffuse(
-    stack: BitPlaneStack,
-    key: SecretKey,
-    seed: SeedMaterial,
-    stats: dict | None = None,
-    grids: dict[int, np.ndarray] | None = None,
-) -> BitPlaneStack:
+def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dict | None = None) -> BitPlaneStack:
     """XOR the keystream over every bit site; self-inverse by construction.
 
     Every (image, plane, x, y) site is XORed exactly once with bit `plane`
     of the keystream integer at (image, x, y).  Padded images take the
-    parameter triple of image m mod M', so all 2**k images get live
-    keystream.  When stats is given, stats['xor_sites'] receives the number
-    of sites actually touched.  grids, when given, maps source image m mod M'
-    to its keystream grid under this key and seed; missing grids are
-    computed into it, so later passes with the same seed can reuse them.
+    grid of image m mod M', so all 2**k images get live keystream.  When
+    stats is given, stats['xor_sites'] receives the number of sites
+    actually touched.
     """
+    grids = _material(key).grids(seed)
     s = stack.stack_side
     bits = stack.bits.copy()
     sites = 0
-    if grids is None:
-        grids = {}
     for m in range(s):
-        src = m % key.m_prime
-        grid = grids.get(src)
-        if grid is None:
-            perms = image_rank_perms(key, seed, m)
-            grid = grids[src] = keystream_grid(perms, key.image_params[src].q, key.k)
+        grid = grids[m % key.m_prime]
         for l in range(s):
             plane_key = ((grid >> l) & 1).astype(np.uint8)
             bits[m, l] ^= plane_key
@@ -550,75 +528,80 @@ def diffuse(
 # Whole-pipeline entry points
 
 
-class Prepared:
-    """Key-derived material shared by every pass under one key.
+class _KeyMaterial:
+    """What one key determines, built on first use and shared by its passes.
 
-    Holds the key schedule, whose stage-1 tables are built on first use,
-    and the keystream grids of each plaintext seed, keyed by the
-    (intensity_sum, bit_count) pair the seed comes from.  Nothing is
-    computed before a pass needs it, and all of it lives only as long as
-    this object.  Stage-2 tables are not kept: at n=9 they would take 67 MB.
+    Holds the key schedule (whose stage-1 tables are built on first use)
+    and the keystream grids of the two most recent plaintext seeds, which
+    is what analyze's pairs of P and flipped P need.  Stage-2 tables are not
+    kept: at n=9 they would take 67 MB.
     """
 
     def __init__(self, key: SecretKey):
-        key.validate()
-        self.key = dataclasses.replace(key, intensity_sum=None, bit_count=None)
-        self.grids: dict[tuple[int, int], dict[int, np.ndarray]] = {}
+        self.key = key
+        self._grids: dict[tuple[int, int], list[np.ndarray]] = {}
+        self._lock = threading.Lock()  # passes in several threads share one entry
 
     @functools.cached_property
     def schedule(self) -> KeySchedule:
         return derive_schedule(self.key)
 
-    def check(self, key: SecretKey) -> Prepared:
-        """Return self if key differs from the prepared key at most in its sums."""
-        if dataclasses.replace(key, intensity_sum=None, bit_count=None) != self.key:
-            raise ValueError("prepared material belongs to a different key")
-        return self
+    def grids(self, seed: SeedMaterial) -> list[np.ndarray]:
+        """Keystream grid of each source image 0..M'-1, in that order."""
+        tag = (seed.intensity_sum, seed.bit_count)
+        with self._lock:
+            grids = self._grids.pop(tag, None)
+            if grids is None:
+                key = self.key
+                grids = [
+                    keystream_grid(image_rank_perms(key, seed, m), key.image_params[m].q, key.k)
+                    for m in range(key.m_prime)
+                ]
+            self._grids[tag] = grids
+            if len(self._grids) > 2:
+                del self._grids[next(iter(self._grids))]
+        return grids
 
-    def grids_for(self, seed: SeedMaterial) -> dict[int, np.ndarray]:
-        return self.grids.setdefault((seed.intensity_sum, seed.bit_count), {})
+
+# One entry: a new key's material replaces the last key's before any of it
+# is derived, so two schedules never sit in memory together.
+_materials = functools.lru_cache(maxsize=1)(_KeyMaterial)
 
 
-def prepare(key: SecretKey) -> Prepared:
-    """Prepare a key for several encrypt/decrypt passes (see Prepared)."""
-    return Prepared(key)
+def _material(key: SecretKey) -> _KeyMaterial:
+    """The cached material of key; the plaintext sums play no part in it."""
+    return _materials(dataclasses.replace(key, intensity_sum=None, bit_count=None))
 
 
-def encrypt(
-    images: MultiImage, key: SecretKey, prepared: Prepared | None = None
-) -> tuple[MultiImage, SecretKey]:
+def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
     """Encrypt an image set.
 
     Returns the ciphertext (2**k images of 2**k-bit pixels) and the key
     updated with the exact plaintext statistics; the updated key must be
-    stored, since decryption reseeds the keystream from it.  prepared, from
-    prepare(key), carries key-derived material across passes.
+    stored, since decryption reseeds the keystream from it.  A key whose
+    orbits degenerate for this plaintext is refused before any scrambling.
     """
     key.validate()
     if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
         raise ValueError("key geometry does not match the image set")
-    prepared = prepare(key) if prepared is None else prepared.check(key)
     seed = derive_seed(images)
-    key = dataclasses.replace(
-        key, intensity_sum=seed.intensity_sum, bit_count=seed.bit_count
-    )
-    sched = prepared.schedule
+    key = dataclasses.replace(key, intensity_sum=seed.intensity_sum, bit_count=seed.bit_count)
+    material = _material(key)
+    material.grids(seed)  # orbits first: a degenerate key is refused before any scrambling
     stack = decompose(images)
-    stack = scramble_images_planes(stack, sched)
-    stack = scramble_positions(stack, sched)
-    stack = diffuse(stack, key, seed, grids=prepared.grids_for(seed))
+    stack = scramble_images_planes(stack, material.schedule)
+    stack = scramble_positions(stack, material.schedule)
+    stack = diffuse(stack, key, seed)
     return recompose_all(stack), key
 
 
-def decrypt(
-    cipher: MultiImage, key: SecretKey, prepared: Prepared | None = None
-) -> tuple[MultiImage, int]:
+def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     """Invert the pipeline; returns (images, stray_padding_bits).
 
     stray_padding_bits counts set bits left in padding slots after
     inversion.  Zero means clean recovery; anything else signals a wrong
     key or corrupted ciphertext, but the recovered images are still
-    returned for inspection.  prepared is as for encrypt.
+    returned for inspection.
     """
     key.validate()
     if key.intensity_sum is None:
@@ -626,22 +609,10 @@ def decrypt(
     s = 1 << key.k
     if cipher.n != key.n or cipher.m_prime != s or cipher.bit_depth != s:
         raise ValueError("ciphertext geometry does not match the key")
-    prepared = prepare(key) if prepared is None else prepared.check(key)
-    seed = seed_from_sums(
-        key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n
-    )
-    sched = prepared.schedule
-    stack = decompose(cipher)
-    stack = diffuse(stack, key, seed, grids=prepared.grids_for(seed))
+    seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
+    stack = diffuse(decompose(cipher), key, seed)
+    sched = _material(key).schedule
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
-    stack = BitPlaneStack(
-        n=key.n,
-        k=key.k,
-        m_prime=key.m_prime,
-        bit_depth=key.bit_depth,
-        bits=stack.bits,
-    )
-    stray = stack.padding_bit_count()
-    images = recompose(stack, check_padding=False)
-    return images, stray
+    stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)
+    return recompose(stack, check_padding=False), stack.padding_bit_count()

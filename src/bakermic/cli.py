@@ -17,9 +17,9 @@ import sys
 import numpy as np
 
 from . import analysis, baker, chaos, qcircuit
-from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi
+from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi, write_atomic
 from .chaos import DegenerateKeyError
-from .cipher import decrypt, encrypt, make_key, prepare, read_key, write_key
+from .cipher import decrypt, encrypt, make_key, read_key, write_key
 
 
 class UsageError(Exception):
@@ -35,8 +35,7 @@ def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        write_atomic(path, text.encode("utf-8"))
 
 
 def _check_savable(k: int) -> None:
@@ -136,9 +135,8 @@ def cmd_analyze(args) -> int:
             raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
         key = read_key(args.key)
         plain = load_multi(args.inp)
-        prepared = prepare(key)
-        cipher1, key1 = encrypt(plain, key, prepared=prepared)
-        cipher2, _ = encrypt(_flip_one_bit(plain), key, prepared=prepared)
+        cipher1, key1 = encrypt(plain, key)
+        cipher2, _ = encrypt(_flip_one_bit(plain), key)
         _set_metrics(report, cipher1, args.seed)
         report.npcr, report.uaci = analysis.npcr_uaci(
             cipher1.pixels, cipher2.pixels, cipher1.bit_depth
@@ -150,12 +148,10 @@ def cmd_analyze(args) -> int:
             block = tuple(int(v) for v in args.block.split(","))
             if len(block) != 4:
                 raise UsageError("--block wants x,y,width,height")
-            series = analysis.occlusion_test(cipher1, key1, plain, block, prepared=prepared)
+            series = analysis.occlusion_test(cipher1, key1, plain, block)
             report.psnr_series["occlusion"] = list(series)
         if args.density is not None:
-            series = analysis.noise_test(
-                cipher1, key1, plain, args.density, seed=args.seed, prepared=prepared
-            )
+            series = analysis.noise_test(cipher1, key1, plain, args.density, seed=args.seed)
             report.psnr_series[f"noise_{args.density:g}"] = list(series)
     _write_text(args.out, report.render())
     return 0

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from bakermic import cipher
 from bakermic.brqmi import MultiImage
 from bakermic.cipher import make_key
 
@@ -42,6 +43,14 @@ def random_images(n: int, count: int, seed: int = 0, bit_depth: int = 8) -> Mult
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 1 << bit_depth, size=(count, 1 << n, 1 << n))
     return MultiImage(n=n, bit_depth=bit_depth, pixels=pixels)
+
+
+@pytest.fixture(autouse=True)
+def fresh_key_material():
+    """Start every test with no cached key material, so counts do not depend on test order."""
+    cipher._materials.cache_clear()
+    yield
+    cipher._materials.cache_clear()
 
 
 @pytest.fixture

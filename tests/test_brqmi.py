@@ -11,6 +11,7 @@ from bakermic.brqmi import (
     recompose,
     recompose_all,
     save_multi,
+    write_atomic,
     write_pgm,
 )
 
@@ -195,3 +196,13 @@ def test_manifest_rejects_non_square(tmp_path):
     manifest.write_text("r.pgm\n")
     with pytest.raises(ValueError):
         load_multi(manifest)
+
+
+def test_write_atomic_follows_symlinks(tmp_path):
+    target = tmp_path / "real.txt"
+    target.write_bytes(b"old")
+    link = tmp_path / "link.txt"
+    link.symlink_to(target)
+    write_atomic(link, b"new")
+    assert link.is_symlink() and target.read_bytes() == b"new"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
+from bakermic import cipher as cipher_module
 from bakermic.baker import count_partitions
-from bakermic.brqmi import MultiImage, decompose
+from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
 from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step, key_int
 from bakermic.cipher import (
     ImageParams,
@@ -118,33 +119,76 @@ def test_key_file_roundtrip(tmp_path):
     assert read_key(path) == filled
 
 
+class HalfWriter:
+    """A file whose first write stores half its data and then fails."""
+
+    def __init__(self, fh):
+        self.fh = fh
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+    def write(self, data):
+        self.fh.write(data[: len(data) // 2])
+        self.fh.flush()
+        raise OSError("disk full")
+
+
+def fail_write(monkeypatch, after=0):
+    """Let `after` writes through os.fdopen succeed, then half-write the next."""
+    real_fdopen = os.fdopen
+    opened = []
+
+    def fdopen(*args, **kwargs):
+        fh = real_fdopen(*args, **kwargs)
+        opened.append(1)
+        return HalfWriter(fh) if len(opened) > after else fh
+
+    monkeypatch.setattr(os, "fdopen", fdopen)
+
+
 def test_key_write_failure_keeps_old_key(tmp_path, monkeypatch):
     path = tmp_path / "a.key"
     write_key(fixed_small_key(), path)
     before = path.read_bytes()
-
-    class HalfWriter:
-        def __init__(self, fh):
-            self.fh = fh
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            self.fh.close()
-
-        def write(self, text):
-            self.fh.write(text[: len(text) // 2])
-            self.fh.flush()
-            raise OSError("disk full")
-
-    real_fdopen = os.fdopen
-    monkeypatch.setattr(os, "fdopen", lambda *a, **kw: HalfWriter(real_fdopen(*a, **kw)))
+    fail_write(monkeypatch)
     filled = dataclasses.replace(fixed_small_key(), intensity_sum=22061, bit_count=749)
     with pytest.raises(OSError, match="disk full"):
         write_key(filled, path)
     assert path.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == ["a.key"]
+
+
+def test_pgm_write_failure_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "a.pgm"
+    write_pgm(path, np.zeros((4, 4), dtype=np.uint8), maxval=255)
+    before = path.read_bytes()
+    fail_write(monkeypatch)
+    with pytest.raises(OSError, match="disk full"):
+        write_pgm(path, np.full((4, 4), 7, dtype=np.uint8), maxval=255)
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["a.pgm"]
+
+
+@pytest.mark.parametrize("after", [0, 1, 3])  # fail on image 0, image 1, the manifest
+def test_save_multi_failure_keeps_old_file(tmp_path, monkeypatch, after):
+    manifest = tmp_path / "set.manifest"
+    old, new = random_images(n=2, count=3, seed=1), random_images(n=2, count=3, seed=2)
+    names = save_multi(old, manifest)
+    files = [manifest] + [tmp_path / name for name in names]
+    before = {p: p.read_bytes() for p in files}
+    fail_write(monkeypatch, after)
+    with pytest.raises(OSError, match="disk full"):
+        save_multi(new, manifest)
+    monkeypatch.undo()
+    failed = manifest if after == 3 else tmp_path / names[after]
+    assert failed.read_bytes() == before[failed]
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(p.name for p in files)
+    if after == 3:  # every image was replaced, the manifest was not
+        assert np.array_equal(load_multi(manifest).pixels, new.pixels)
 
 
 def test_key_file_strictness(tmp_path):
@@ -312,17 +356,22 @@ def test_encrypt_decrypt_roundtrip():
     assert np.array_equal(back.pixels, images.pixels)
 
 
-def test_degenerate_orbit_fails_fast():
+def test_degenerate_orbit_fails_fast(monkeypatch):
     # The flipped plaintext reseeds image 0's orbit into a 2-cycle 257 steps
-    # after burn-in; the unflipped one encrypts normally.
+    # after burn-in; the unflipped one encrypts normally.  The orbits are
+    # searched before the schedule is derived or anything is scrambled.
     key = make_key(8, 3, 8, random.Random(9001))
     images = natural_images(8, 3, seed=7001)
     pixels = images.pixels.copy()
     pixels[0, 0, 0] ^= 1
+    work = []
+    for name in ("derive_schedule", "scramble_images_planes", "scramble_positions"):
+        monkeypatch.setattr(cipher_module, name, lambda *a, name=name: work.append(name))
     with pytest.raises(DegenerateKeyError, match="^orbit produced fewer than 256 distinct values for image 0") as info:
         encrypt(MultiImage(n=8, bit_depth=8, pixels=pixels), key)
     assert info.value.image == 0 and info.value.cycled
     assert info.value.iterations < 1000  # the whole budget is 10**7
+    assert work == []
 
 
 def test_encrypt_key_not_mutated():

@@ -1,14 +1,17 @@
-"""Per-key preparation: prepared passes give the bytes unprepared passes give."""
+"""Per-key reuse: passes served from cached key material give the bytes fresh passes give."""
 
-import dataclasses
+import gc
 import random
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
 
 from bakermic import analysis, cipher, cli
 from bakermic.brqmi import save_multi
-from bakermic.cipher import decrypt, encrypt, make_key, prepare, write_key
+from bakermic.cipher import decrypt, encrypt, make_key, write_key
 
 from conftest import natural_images, random_images
 
@@ -16,56 +19,101 @@ from conftest import natural_images, random_images
 flipped = cli._flip_one_bit  # the bit analyze flips: pixel [0, 0, 0], bit 0
 
 
+def count_work(monkeypatch):
+    """Count schedule derivations and keystream grids from here on."""
+    counts = {"schedules": 0, "grids": 0}
+    derive, grid = cipher.derive_schedule, cipher.keystream_grid
+
+    def counted_derive(key):
+        counts["schedules"] += 1
+        return derive(key)
+
+    def counted_grid(*args):
+        counts["grids"] += 1
+        return grid(*args)
+
+    monkeypatch.setattr(cipher, "derive_schedule", counted_derive)
+    monkeypatch.setattr(cipher, "keystream_grid", counted_grid)
+    return counts
+
+
 @pytest.mark.parametrize("n", [2, 3, 4])
 @pytest.mark.parametrize("m_prime", [1, 3, 5])
 def test_prepared_passes_match_unprepared(n, m_prime):
+    # Passes served from cached material against passes after a cache clear.
     seed = 50 * n + m_prime
     key = make_key(n, m_prime, 8, random.Random(seed))
     images = random_images(n, m_prime, seed=seed)
-    prepared = prepare(key)
-    c_plain, k_plain = encrypt(images, key)
-    c_prep, k_prep = encrypt(images, key, prepared=prepared)
-    assert k_prep == k_plain
-    assert np.array_equal(c_prep.pixels, c_plain.pixels)
-    d_plain, stray_plain = decrypt(c_plain, k_plain)
-    d_prep, stray_prep = decrypt(c_prep, k_prep, prepared=prepared)
-    assert stray_prep == stray_plain == 0
-    assert np.array_equal(d_prep.pixels, d_plain.pixels)
-    assert np.array_equal(d_prep.pixels, images.pixels)
+    c_fresh, k_fresh = encrypt(images, key)
+    cipher._materials.cache_clear()
+    d_fresh, stray_fresh = decrypt(c_fresh, k_fresh)
+    cipher._materials.cache_clear()
+    c_cached, k_cached = encrypt(images, key)
+    d_cached, stray_cached = decrypt(c_cached, k_cached)
+    assert cipher._materials.cache_info().hits >= 2  # decrypt and its diffuse hit
+    assert k_cached == k_fresh
+    assert np.array_equal(c_cached.pixels, c_fresh.pixels)
+    assert stray_cached == stray_fresh == 0
+    assert np.array_equal(d_cached.pixels, d_fresh.pixels)
+    assert np.array_equal(d_cached.pixels, images.pixels)
 
 
-def test_prepare_is_lazy_and_checks_the_key(monkeypatch):
-    calls = []
-    monkeypatch.setattr(cipher, "derive_schedule", lambda key: calls.append(key))
+def test_round_trip_derives_once(monkeypatch):
     key = make_key(3, 3, 8, random.Random(3))
-    prepared = prepare(key)
-    assert calls == [] and prepared.grids == {}
-    monkeypatch.undo()
-
     images = random_images(3, 3, seed=3)
-    ciphertext, seeded = encrypt(images, key, prepared=prepared)
-    decrypt(ciphertext, seeded, prepared=prepared)  # differs only in the sums: accepted
-    other = make_key(3, 3, 8, random.Random(4))
-    with pytest.raises(ValueError, match="different key"):
-        encrypt(images, other, prepared=prepared)
-    with pytest.raises(ValueError, match="different key"):
-        decrypt(ciphertext, dataclasses.replace(seeded, r_max2=seeded.r_max2 + 1), prepared=prepared)
+    counts = count_work(monkeypatch)
+    ciphertext, seeded = encrypt(images, key)
+    back, stray = decrypt(ciphertext, seeded)
+    assert counts == {"schedules": 1, "grids": 3}
+    assert stray == 0 and np.array_equal(back.pixels, images.pixels)
+
+
+def test_new_key_replaces_the_cached_one(monkeypatch):
+    key_a = make_key(3, 3, 8, random.Random(4))
+    key_b = make_key(3, 3, 8, random.Random(5))
+    images = random_images(3, 3, seed=4)
+    encrypt(images, key_a)
+    material_a = weakref.ref(cipher._material(key_a))
+    assert material_a().schedule is not None
+
+    derive = cipher.derive_schedule
+    alive_at_derive = []
+
+    def derive_checked(key):
+        gc.collect()
+        alive_at_derive.append(material_a() is not None)
+        return derive(key)
+
+    monkeypatch.setattr(cipher, "derive_schedule", derive_checked)
+    ciphertext, seeded = encrypt(images, key_b)
+    assert alive_at_derive == [False]  # A's material went before B's schedule was derived
+    assert cipher._materials.cache_info().currsize == 1
+    assert np.array_equal(decrypt(ciphertext, seeded)[0].pixels, images.pixels)
+    assert alive_at_derive == [False]  # B's decrypt reused B's schedule
 
 
 def test_one_prepared_keeps_seeds_apart():
+    # One key's material serves P and flipped P without mixing their grids,
+    # and keeps the grids of the two most recent plaintext seeds only.
     key = make_key(3, 3, 8, random.Random(8))
     images = random_images(3, 3, seed=8)
-    prepared = prepare(key)
-    c1, k1 = encrypt(images, key, prepared=prepared)
-    c2, k2 = encrypt(flipped(images), key, prepared=prepared)
-    assert set(prepared.grids) == {(k1.intensity_sum, k1.bit_count), (k2.intensity_sum, k2.bit_count)}
-    assert all(len(grids) == 3 for grids in prepared.grids.values())
-    for grids in prepared.grids.values():
-        assert all(g.dtype == np.uint8 for g in grids.values())  # 2**8 - 1 fits
+    c1, k1 = encrypt(images, key)
+    c2, k2 = encrypt(flipped(images), key)
+    held = cipher._material(key)._grids
+    assert set(held) == {(k1.intensity_sum, k1.bit_count), (k2.intensity_sum, k2.bit_count)}
+    assert all(len(grids) == 3 for grids in held.values())
+    assert all(g.dtype == np.uint8 for grids in held.values() for g in grids)  # 2**8 - 1 fits
+    assert np.array_equal(decrypt(c2, k2)[0].pixels, flipped(images).pixels)
+    assert np.array_equal(decrypt(c1, k1)[0].pixels, images.pixels)
+
+    third = random_images(3, 3, seed=9)
+    c3, k3 = encrypt(third, key)
+    held = cipher._material(key)._grids
+    assert set(held) == {(k1.intensity_sum, k1.bit_count), (k3.intensity_sum, k3.bit_count)}
+    cipher._materials.cache_clear()
     assert np.array_equal(c1.pixels, encrypt(images, key)[0].pixels)
     assert np.array_equal(c2.pixels, encrypt(flipped(images), key)[0].pixels)
-    assert np.array_equal(decrypt(c2, k2, prepared=prepared)[0].pixels, flipped(images).pixels)
-    assert np.array_equal(decrypt(c1, k1, prepared=prepared)[0].pixels, images.pixels)
+    assert np.array_equal(c3.pixels, encrypt(third, key)[0].pixels)
 
 
 def test_analyze_equals_unprepared_passes(tmp_path, monkeypatch):
@@ -75,24 +123,59 @@ def test_analyze_equals_unprepared_passes(tmp_path, monkeypatch):
     write_key(key, key_path)
     save_multi(plain, manifest)
 
-    schedules, grids = [], []
-    derive, grid = cipher.derive_schedule, cipher.keystream_grid
-    monkeypatch.setattr(cipher, "derive_schedule", lambda k: schedules.append(1) or derive(k))
-    monkeypatch.setattr(cipher, "keystream_grid", lambda *a: grids.append(1) or grid(*a))
+    counts = count_work(monkeypatch)
     out = tmp_path / "report.txt"
     argv = ["analyze", "--in", str(manifest), "--key", str(key_path), "--block", "0,0,4,4",
             "--density", "0.05", "--seed", "5", "--out", str(out)]
     assert cli.main(argv) == 0
-    assert len(schedules) == 1  # one schedule for all four passes
-    assert len(grids) == 2 * 3  # one grid per source image per plaintext seed
+    assert counts["schedules"] == 1  # one schedule for all four passes
+    assert counts["grids"] == 2 * 3  # one grid per source image per plaintext seed
     monkeypatch.undo()
 
-    c1, k1 = encrypt(plain, key)
-    c2, _ = encrypt(flipped(plain), key)
+    # The same four passes, each from a cold cache.
+    def cold(f, *args, **kwargs):
+        cipher._materials.cache_clear()
+        return f(*args, **kwargs)
+
+    c1, k1 = cold(encrypt, plain, key)
+    c2, _ = cold(encrypt, flipped(plain), key)
     report = analysis.MetricsReport()
     cli._set_metrics(report, c1, 5)
     report.npcr, report.uaci = analysis.npcr_uaci(c1.pixels, c2.pixels, c1.bit_depth)
     report.bit_diff = analysis.bit_difference_rate(c1.pixels, c2.pixels, c1.bit_depth)
-    report.psnr_series["occlusion"] = list(analysis.occlusion_test(c1, k1, plain, (0, 0, 4, 4)))
-    report.psnr_series["noise_0.05"] = list(analysis.noise_test(c1, k1, plain, 0.05, seed=5))
+    report.psnr_series["occlusion"] = list(cold(analysis.occlusion_test, c1, k1, plain, (0, 0, 4, 4)))
+    report.psnr_series["noise_0.05"] = list(cold(analysis.noise_test, c1, k1, plain, 0.05, seed=5))
     assert out.read_text() == report.render()
+
+
+def test_threads_share_the_cache_safely():
+    # More threads than cores, switching often, over more plaintexts than one
+    # key keeps grids for: every pass must give the single-threaded bytes.
+    key = make_key(1, 1, 2, random.Random(31))
+    plains = [random_images(1, 1, seed=s, bit_depth=2) for s in range(5)]
+    expected = [encrypt(p, key)[0].pixels for p in plains]
+    failures, done = [], []
+
+    def work(t):
+        try:
+            for step in range(100):
+                j = (t + step) % len(plains)
+                ciphertext, seeded = encrypt(plains[j], key)
+                assert np.array_equal(ciphertext.pixels, expected[j])
+                assert np.array_equal(decrypt(ciphertext, seeded)[0].pixels, plains[j].pixels)
+            done.append(t)
+        except Exception as exc:  # reported below with the thread that raised it
+            failures.append((t, repr(exc)))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(t,)) for t in range(6)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert failures == [] and sorted(done) == list(range(6))
