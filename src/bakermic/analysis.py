@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brqmi import MultiImage
+from .brqmi import MultiImage, _split_planes
 from .cipher import SecretKey, decrypt
 
 DIRECTIONS = {
@@ -71,10 +71,8 @@ def npcr_uaci(a: np.ndarray, b: np.ndarray, bit_depth: int) -> tuple[float, floa
 
 def bit_difference_rate(a: np.ndarray, b: np.ndarray, bit_depth: int) -> float:
     """Percent of differing bits between two equally shaped pixel arrays."""
-    x = np.asarray(a, dtype=np.int64) ^ np.asarray(b, dtype=np.int64)
-    diff = 0
-    for l in range(bit_depth):
-        diff += int(((x >> l) & 1).sum())
+    x = np.bitwise_xor(a, b)
+    diff = int(np.count_nonzero(_split_planes(x[None], bit_depth)))
     return 100.0 * diff / (x.size * bit_depth)
 
 

@@ -6,6 +6,10 @@ plane axes are padded with zeros up to a common power of two 2**k so that the
 (image, plane) pair ranges over a square lattice of the same shape class as
 the pixel lattice; that symmetry is what lets the scrambling stage treat both
 lattices with the same machinery.
+
+Plane order (plane l holds bit l) is known here alone: _split_planes and
+_join_planes cut values into planes and join them back in the values' own
+dtype, and every other module that needs planes or bit counts calls them.
 """
 
 from __future__ import annotations
@@ -24,14 +28,31 @@ class PaddingError(ValueError):
     """Raised when padding slots that must be zero carry data."""
 
 
-def _dtype_for_depth(bit_depth: int):
-    if bit_depth <= 8:
-        return np.uint8
-    if bit_depth <= 16:
-        return np.uint16
-    if bit_depth <= 32:
-        return np.uint32
-    return np.uint64
+def _dtype_for_depth(bit_depth: int) -> np.dtype:
+    """The narrowest unsigned dtype that holds bit_depth-bit values."""
+    return np.min_scalar_type((1 << bit_depth) - 1)
+
+
+def stack_exponent(m_prime: int, bit_depth: int) -> int:
+    """Shared exponent k with 2**k >= max(m_prime, bit_depth)."""
+    return max(m_prime - 1, bit_depth - 1).bit_length()
+
+
+def _split_planes(values: np.ndarray, depth: int) -> np.ndarray:
+    """uint8 planes[m, l] = bit l of values[m], for l < depth, by shift and mask."""
+    planes = np.empty((values.shape[0], depth) + values.shape[1:], dtype=np.uint8)
+    for l in range(depth):
+        np.bitwise_and(values >> l, 1, out=planes[:, l], casting="unsafe")
+    return planes
+
+
+def _join_planes(planes: np.ndarray) -> np.ndarray:
+    """Inverse of _split_planes: values[m] = OR of planes[m, l] << l, by shift and OR."""
+    dtype = _dtype_for_depth(planes.shape[1])
+    values = np.zeros((planes.shape[0],) + planes.shape[2:], dtype=dtype)
+    for l in range(planes.shape[1]):
+        values |= planes[:, l].astype(dtype) << l
+    return values
 
 
 @dataclass
@@ -80,7 +101,7 @@ class MultiImage:
 
     def stack_exponent(self) -> int:
         """Shared exponent k with 2**k >= max(m_prime, bit_depth)."""
-        return max(self.m_prime - 1, self.bit_depth - 1).bit_length()
+        return stack_exponent(self.m_prime, self.bit_depth)
 
 
 @dataclass
@@ -139,9 +160,7 @@ def decompose(images: MultiImage) -> BitPlaneStack:
     stack_side = 1 << k
     side = images.side
     bits = np.zeros((stack_side, stack_side, side, side), dtype=np.uint8)
-    pix = images.pixels.astype(np.uint64, copy=False)
-    for l in range(images.bit_depth):
-        bits[: images.m_prime, l] = (pix >> np.uint64(l)) & np.uint64(1)
+    bits[: images.m_prime, : images.bit_depth] = _split_planes(images.pixels, images.bit_depth)
     return BitPlaneStack(
         n=images.n,
         k=k,
@@ -149,14 +168,6 @@ def decompose(images: MultiImage) -> BitPlaneStack:
         bit_depth=images.bit_depth,
         bits=bits,
     )
-
-
-def _weigh(n: int, planes: np.ndarray) -> MultiImage:
-    """Images whose pixels weight planes[m, l] by 2**l, one per planes[m]."""
-    depth = planes.shape[1]
-    weights = (np.uint64(1) << np.arange(depth, dtype=np.uint64)).reshape(1, -1, 1, 1)
-    values = (planes.astype(np.uint64) * weights).sum(axis=1)
-    return MultiImage(n=n, bit_depth=depth, pixels=values)
 
 
 def recompose(stack: BitPlaneStack, check_padding: bool = True) -> MultiImage:
@@ -170,7 +181,8 @@ def recompose(stack: BitPlaneStack, check_padding: bool = True) -> MultiImage:
         stray = stack.padding_bit_count()
         if stray:
             raise PaddingError(f"{stray} set bits in padding slots")
-    return _weigh(stack.n, stack.bits[: stack.m_prime, : stack.bit_depth])
+    pixels = _join_planes(stack.bits[: stack.m_prime, : stack.bit_depth])
+    return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=pixels)
 
 
 def recompose_all(stack: BitPlaneStack) -> MultiImage:
@@ -179,7 +191,7 @@ def recompose_all(stack: BitPlaneStack) -> MultiImage:
     Produces 2**k images of 2**k-bit pixels; that is the on-disk shape of
     ciphertext, where scrambling has moved live bits into padding slots.
     """
-    return _weigh(stack.n, stack.bits)
+    return MultiImage(n=stack.n, bit_depth=stack.stack_side, pixels=_join_planes(stack.bits))
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +275,7 @@ def write_pgm(path: str | os.PathLike, pixels: np.ndarray, maxval: int) -> None:
     write_atomic(path, header + pixels.astype(dtype).tobytes())
 
 
-def load_multi(manifest_path: str | os.PathLike, bit_depth: int | None = None) -> MultiImage:
+def load_multi(manifest_path: str | os.PathLike) -> MultiImage:
     """Load an image set named by a manifest file.
 
     The manifest holds one relative PGM path per line; blank lines and lines
@@ -294,8 +306,6 @@ def load_multi(manifest_path: str | os.PathLike, bit_depth: int | None = None) -
     depth = maxval.bit_length()
     if maxval != (1 << depth) - 1:
         raise ValueError(f"{manifest_path}: maxval {maxval} is not 2**L - 1")
-    if bit_depth is not None and bit_depth != depth:
-        raise ValueError(f"{manifest_path}: expected {bit_depth}-bit images")
     shapes = {a.shape for a in arrays}
     if len(shapes) != 1:
         raise ValueError(f"{manifest_path}: images disagree on size")

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_nearest, to_float
 
-from .brqmi import MultiImage
+from .brqmi import MultiImage, _dtype_for_depth, _split_planes
 
 
 @dataclass(frozen=True)
@@ -105,11 +105,8 @@ def seed_from_sums(
 
 def derive_seed(images: MultiImage) -> SeedMaterial:
     """Exact seed statistics of an image set."""
-    pix = images.pixels.astype(np.uint64)
-    intensity = int(pix.sum())
-    bits = 0
-    for l in range(images.bit_depth):
-        bits += int(((pix >> np.uint64(l)) & np.uint64(1)).sum())
+    intensity = int(images.pixels.sum())
+    bits = int(np.count_nonzero(_split_planes(images.pixels, images.bit_depth)))
     return seed_from_sums(intensity, bits, images.m_prime, images.bit_depth, images.n)
 
 
@@ -258,7 +255,7 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
         [chebyshev(perms.t[j], perms.xs[side - 1 - j]) for j in range(side)]
     )
     v = np.floor(np.outer(a, b) * float(10**q)).astype(np.int64)
-    return (v % np.int64(1 << width)).astype(np.min_scalar_type((1 << width) - 1))
+    return (v % np.int64(1 << width)).astype(_dtype_for_depth(width))
 
 
 # ---------------------------------------------------------------------------

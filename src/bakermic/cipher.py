@@ -21,7 +21,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baker
-from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, write_atomic
+from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, stack_exponent, write_atomic
+from .brqmi import _split_planes
 from .chaos import (
     DegenerateKeyError,
     HenonSineParams,
@@ -79,8 +80,9 @@ class SecretKey:
     def validate(self) -> None:
         if self.n < 0 or self.k < 0:
             raise ValueError("lattice exponents must be nonnegative")
-        expected_k = max(self.m_prime - 1, self.bit_depth - 1).bit_length()
-        if self.k != expected_k:
+        if self.m_prime < 1 or self.bit_depth < 1:
+            raise ValueError("a key needs at least one image of at least one bit")
+        if self.k != stack_exponent(self.m_prime, self.bit_depth):
             raise ValueError(
                 f"stack exponent k={self.k} inconsistent with "
                 f"{self.m_prime} images of depth {self.bit_depth}"
@@ -120,7 +122,7 @@ def make_key(
     Lambda factors default to uniform draws from [2, 8]; passing lambda1 and
     lambda2 pins them for every image.
     """
-    k = max(m_prime - 1, bit_depth - 1).bit_length()
+    k = stack_exponent(m_prime, bit_depth)
 
     def lam(fixed):
         return fixed if fixed is not None else 2.0 + 6.0 * rng.random()
@@ -503,24 +505,18 @@ def image_rank_perms(key: SecretKey, seed: SeedMaterial, m: int) -> RankPerms:
 def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dict | None = None) -> BitPlaneStack:
     """XOR the keystream over every bit site; self-inverse by construction.
 
-    Every (image, plane, x, y) site is XORed exactly once with bit `plane`
-    of the keystream integer at (image, x, y).  Padded images take the
-    grid of image m mod M', so all 2**k images get live keystream.  When
-    stats is given, stats['xor_sites'] receives the number of sites
-    actually touched.
+    The keystream integers at (image, x, y) are split into 2**k bit planes
+    like pixels, and every (image, plane, x, y) site is XORed exactly once
+    with its keystream bit.  Padded images take the grid of image m mod M',
+    so all 2**k images get live keystream.  When stats is given,
+    stats['xor_sites'] receives the number of sites actually touched.
     """
     grids = _material(key).grids(seed)
     s = stack.stack_side
-    bits = stack.bits.copy()
-    sites = 0
-    for m in range(s):
-        grid = grids[m % key.m_prime]
-        for l in range(s):
-            plane_key = ((grid >> l) & 1).astype(np.uint8)
-            bits[m, l] ^= plane_key
-            sites += plane_key.size
+    bits = _split_planes(np.stack([grids[m % key.m_prime] for m in range(s)]), s)
+    np.bitwise_xor(bits, stack.bits, out=bits)
     if stats is not None:
-        stats["xor_sites"] = sites
+        stats["xor_sites"] = bits.size
     return dataclasses.replace(stack, bits=bits)
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import analysis, baker, chaos, qcircuit
-from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi, write_atomic
+from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi, stack_exponent, write_atomic
 from .chaos import DegenerateKeyError
 from .cipher import decrypt, encrypt, make_key, read_key, write_key
 
@@ -53,7 +53,7 @@ def _check_savable(k: int) -> None:
 
 
 def cmd_keygen(args) -> int:
-    _check_savable(max(args.images - 1, args.depth - 1).bit_length())
+    _check_savable(stack_exponent(args.images, args.depth))
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     key = make_key(
         n=args.n,

@@ -87,12 +87,13 @@ def test_padding_mask_counts():
 
 
 def test_recompose_roundtrip():
-    for seed in range(6):
-        img = random_images(n=3, count=(seed % 7) + 1, seed=seed)
+    for depth in range(1, 17):
+        img = random_images(n=3, count=(depth % 7) + 1, seed=depth, bit_depth=depth)
         back = recompose(decompose(img))
         assert back.bit_depth == img.bit_depth
+        assert back.pixels.dtype == img.pixels.dtype
         assert np.array_equal(back.pixels, img.pixels)
-    print("recompose roundtrip ok over 6 seeds")
+    print("recompose roundtrip ok at depths 1..16")
 
 
 def test_recompose_rejects_stray_padding():
@@ -123,6 +124,18 @@ def test_recompose_all_full_stack():
     # the first three slots reproduce the originals since padding planes are zero
     assert np.array_equal(full.pixels[:3], img.pixels)
     assert not full.pixels[3:].any()
+
+
+def test_recompose_all_joins_a_random_full_stack():
+    # k=4, every slot live: the shape of 16-bit ciphertext
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2, size=(16, 16, 4, 4), dtype=np.uint8)
+    stack = BitPlaneStack(n=2, k=4, m_prime=16, bit_depth=16, bits=bits)
+    full = recompose_all(stack)
+    weights = (1 << np.arange(16, dtype=np.int64)).reshape(1, 16, 1, 1)
+    assert full.pixels.dtype == np.uint16
+    assert np.array_equal(full.pixels, (bits.astype(np.int64) * weights).sum(axis=1))
+    assert np.array_equal(decompose(full).bits, bits)
 
 
 def test_bitplane_stack_validation():

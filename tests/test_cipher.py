@@ -2,6 +2,7 @@ import dataclasses
 import hashlib
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -354,6 +355,22 @@ def test_encrypt_decrypt_roundtrip():
     assert stray == 0
     assert back.m_prime == 3 and back.bit_depth == 8
     assert np.array_equal(back.pixels, images.pixels)
+
+
+def test_encrypt_peak_memory_is_a_few_stacks():
+    # Planes are split and joined in the pixels' own dtype; one uint64 copy
+    # of the stack alone would take eight stacks.
+    images = natural_images(n=8, count=3, seed=5)
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
+    encrypt(images, key)  # warm: the schedule and grids stay cached for this key
+    stack_bytes = decompose(images).bits.nbytes
+    tracemalloc.start()
+    try:
+        encrypt(images, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * stack_bytes, f"peak {peak / 2**20:.1f} MB for a {stack_bytes / 2**20:.1f} MB stack"
 
 
 def test_degenerate_orbit_fails_fast(monkeypatch):

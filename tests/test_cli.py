@@ -1,6 +1,7 @@
 import random
 
 import numpy as np
+import pytest
 
 from bakermic.brqmi import load_multi, save_multi
 from bakermic.chaos import DegenerateKeyError
@@ -219,6 +220,22 @@ def test_unsavable_geometry_refused_before_work(tmp_path, capsys, monkeypatch):
     assert "at most 16" in capsys.readouterr().err
     assert list(out.parent.iterdir()) == []
     assert key.read_bytes() == before
+
+
+def test_empty_geometry_refused(tmp_path, capsys):
+    # no image set has zero images or zero-bit pixels, so no key may claim either
+    for flags in (("--images", "0"), ("--images", "1", "--depth", "0")):
+        key = tmp_path / "k.key"
+        assert run("keygen", "--key", str(key), "--n", "2", *flags, "--seed", "1") == 2
+        assert "at least one image of at least one bit" in capsys.readouterr().err
+        assert not key.exists()
+
+    key = tmp_path / "k.key"
+    write_key(make_key(2, 1, 1, random.Random(1)), key)
+    lines = key.read_text().replace("images = 1", "images = 0").splitlines()
+    key.write_text("".join(line + "\n" for line in lines if "_0 =" not in line))
+    with pytest.raises(ValueError, match="at least one image"):
+        read_key(key)
 
 
 def test_degenerate_key_asks_for_a_new_one(tmp_path, capsys, monkeypatch):
