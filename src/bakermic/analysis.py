@@ -40,14 +40,17 @@ def adjacent_correlation(
 ) -> float | None:
     """Pearson correlation of sampled adjacent pixel pairs.
 
-    Returns None when either marginal is constant (correlation undefined,
-    e.g. a flat image).  The pair sample is drawn with a seeded generator.
+    Returns None when the image has no pair in that direction or either
+    marginal is constant (correlation undefined, e.g. a flat image).  The
+    pair sample is drawn with a seeded generator.
     """
     if direction not in DIRECTIONS:
         raise ValueError(f"unknown direction {direction!r}")
     dx, dy = DIRECTIONS[direction]
     pixels = np.asarray(pixels)
     h, w = pixels.shape
+    if h - dx < 1 or w - dy < 1:
+        return None
     rng = np.random.default_rng(seed)
     xs = rng.integers(0, h - dx, size=samples)
     ys = rng.integers(0, w - dy, size=samples)
@@ -91,14 +94,25 @@ def psnr(a: np.ndarray, b: np.ndarray, bit_depth: int) -> float:
 # Robustness probes
 
 
-def occlude(images: MultiImage, block: tuple[int, int, int, int]) -> MultiImage:
-    """Zero the block (x, y, width, height) in every image."""
+def check_block(block: tuple[int, int, int, int], side: int) -> None:
+    """Refuse a block (x, y, width, height) that leaves a side x side image."""
     x, y, w, h = block
-    side = images.side
     if not (0 <= x <= side and 0 <= y <= side and w >= 0 and h >= 0):
         raise ValueError("block out of range")
     if x + w > side or y + h > side:
         raise ValueError("block exceeds the image")
+
+
+def check_density(density: float) -> None:
+    """Refuse a salt-and-pepper density outside [0, 1]."""
+    if not 0.0 <= density <= 1.0:
+        raise ValueError("density must be in [0, 1]")
+
+
+def occlude(images: MultiImage, block: tuple[int, int, int, int]) -> MultiImage:
+    """Zero the block (x, y, width, height) in every image."""
+    check_block(block, images.side)
+    x, y, w, h = block
     pixels = images.pixels.copy()
     pixels[:, x : x + w, y : y + h] = 0
     return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
@@ -106,8 +120,7 @@ def occlude(images: MultiImage, block: tuple[int, int, int, int]) -> MultiImage:
 
 def add_salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiImage:
     """Flip a seeded random fraction of pixels to full black or white."""
-    if not 0.0 <= density <= 1.0:
-        raise ValueError("density must be in [0, 1]")
+    check_density(density)
     pixels = images.pixels.copy()
     if density > 0.0:
         rng = np.random.default_rng(seed)

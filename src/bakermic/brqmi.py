@@ -146,8 +146,14 @@ class BitPlaneStack:
         return mask
 
     def padding_bit_count(self) -> int:
-        """Number of set bits sitting in padding slots."""
-        return int(self.bits[self.padding_mask()].sum())
+        """Number of set bits sitting in padding slots.
+
+        Counted over two disjoint views, the padded images and the padded
+        planes of the real ones, so no padding slot is copied.
+        """
+        padded_images = self.bits[self.m_prime :]
+        padded_planes = self.bits[: self.m_prime, self.bit_depth :]
+        return int(np.count_nonzero(padded_images)) + int(np.count_nonzero(padded_planes))
 
 
 def decompose(images: MultiImage) -> BitPlaneStack:

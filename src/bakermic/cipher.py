@@ -310,33 +310,48 @@ class KeySchedule:
         return codes, _tables(self.k, list(index))
 
 
+_BLOCK = 1024  # draws per block: the recurrence fills one block of floats, numpy reduces it
+
+
 def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     """Raw generator draws: (value mod modulus, rounds in [1, r_max]) pairs.
 
-    Accumulates 64 guard bits beyond the modulus width per draw so the
-    reduction bias is far below observability.  The generator is
-    chaos.henon_sine_step with its constants hoisted (same floats).
+    Each draw takes enough 32-bit words for 64 guard bits beyond the modulus
+    width, so the reduction bias is far below observability, and one more
+    word for its rounds.  Only the recurrence runs in Python: it is
+    chaos.henon_sine_step with its constants hoisted (same floats), and it
+    fills a block of draws at a time.  numpy turns each block into words
+    with the same IEEE operations and reduces them by Horner's rule with
+    2**32 % modulus, in int64 when no intermediate can overflow it and on
+    Python ints otherwise.
     """
     p = HenonSineParams(params.lambda1, params.lambda2)
     pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
     x, y = params.x0, params.y0
     for _ in range(100):
-        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-    words_needed = (modulus.bit_length() + 64 + 31) // 32
+        t = sin(pl2 * (b * x))
+        x = sin(pl1 * (1.0 - a * x * x + y))
+        y = t
+    words = (modulus.bit_length() + 64 + 31) // 32
+    stride = words + 1
+    mult = (1 << 32) % modulus
+    dtype = np.int64 if max(modulus, r_max) < 1 << 31 else object
+    xs = [0.0] * (min(count, _BLOCK) * stride)
     out = []
-    for _ in range(count):
-        acc = 0
-        for _ in range(words_needed):
-            x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-            w = int((x + 1.0) * 0.5 * 4294967296.0)
-            if w > 0xFFFFFFFF:
-                w = 0xFFFFFFFF
-            acc = (acc << 32) | w
-        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-        w = int((x + 1.0) * 0.5 * 4294967296.0)
-        if w > 0xFFFFFFFF:
-            w = 0xFFFFFFFF
-        out.append((acc % modulus, w % r_max + 1))
+    for c0 in range(0, count, _BLOCK):
+        steps = min(_BLOCK, count - c0) * stride
+        for i in range(steps):
+            t = sin(pl2 * (b * x))
+            x = sin(pl1 * (1.0 - a * x * x + y))
+            y = t
+            xs[i] = x
+        # scaled is >= 0, so int64 truncation is int(); x = 1.0 clamps to the top word
+        scaled = (np.fromiter(xs, np.float64, steps) + 1.0) * 0.5 * 4294967296.0
+        w = np.minimum(scaled, 4294967295.0).astype(np.int64).astype(dtype, copy=False).reshape(-1, stride)
+        acc = np.zeros(len(w), dtype=dtype)
+        for j in range(words):
+            acc = (acc * mult + w[:, j]) % modulus
+        out.extend(zip(acc.tolist(), (w[:, words] % r_max + 1).tolist()))
     return out
 
 

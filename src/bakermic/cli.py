@@ -135,6 +135,13 @@ def cmd_analyze(args) -> int:
             raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
         key = read_key(args.key)
         plain = load_multi(args.inp)
+        if args.block is not None:
+            block = tuple(int(v) for v in args.block.split(","))
+            if len(block) != 4:
+                raise UsageError("--block wants x,y,width,height")
+            analysis.check_block(block, plain.side)
+        if args.density is not None:
+            analysis.check_density(args.density)
         cipher1, key1 = encrypt(plain, key)
         cipher2, _ = encrypt(_flip_one_bit(plain), key)
         _set_metrics(report, cipher1, args.seed)
@@ -145,9 +152,6 @@ def cmd_analyze(args) -> int:
             cipher1.pixels, cipher2.pixels, cipher1.bit_depth
         )
         if args.block is not None:
-            block = tuple(int(v) for v in args.block.split(","))
-            if len(block) != 4:
-                raise UsageError("--block wants x,y,width,height")
             series = analysis.occlusion_test(cipher1, key1, plain, block)
             report.psnr_series["occlusion"] = list(series)
         if args.density is not None:

@@ -49,6 +49,17 @@ def test_correlation_directions():
         adjacent_correlation(grad, "antidiagonal")
 
 
+def test_correlation_without_adjacent_pairs_is_undefined():
+    # a 1x1 image (n=0) has no neighbour in any direction
+    for direction in ("horizontal", "vertical", "diagonal"):
+        assert adjacent_correlation(np.array([[5]]), direction) is None
+    # a single row still has horizontal pairs but no vertical or diagonal ones
+    row = np.arange(8)[None, :]
+    assert adjacent_correlation(row, "horizontal", samples=64) is not None
+    assert adjacent_correlation(row, "vertical") is None
+    assert adjacent_correlation(row, "diagonal") is None
+
+
 def test_correlation_deterministic():
     img = natural_images(6, 1, seed=4).pixels[0]
     a = adjacent_correlation(img, "vertical", seed=9)

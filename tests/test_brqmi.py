@@ -86,6 +86,17 @@ def test_padding_mask_counts():
     assert not mask[:3, :8].any()
 
 
+def test_padding_bit_count_matches_mask():
+    rng = np.random.default_rng(17)
+    for k in (1, 2, 3):
+        side = 1 << k
+        for m_prime in range(1, side + 1):
+            for depth in range(1, side + 1):
+                bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
+                stack = BitPlaneStack(n=1, k=k, m_prime=m_prime, bit_depth=depth, bits=bits)
+                assert stack.padding_bit_count() == int(bits[stack.padding_mask()].sum())
+
+
 def test_recompose_roundtrip():
     for depth in range(1, 17):
         img = random_images(n=3, count=(depth % 7) + 1, seed=depth, bit_depth=depth)

@@ -265,7 +265,31 @@ def stepped_draws(params, modulus, r_max, count):
 @pytest.mark.parametrize("modulus", [26, 10**40 + 7])
 def test_draws_hoisted_step_is_exact(modulus):
     params = ScheduleParams(4.75, 2.125, -0.3, 0.6)
-    assert _draws(params, modulus, 5, 300) == stepped_draws(params, modulus, 5, 300)
+    count = 2 * cipher_module._BLOCK + 37  # two full blocks and a partial one
+    assert _draws(params, modulus, 5, count) == stepped_draws(params, modulus, 5, count)
+
+
+@pytest.mark.parametrize("modulus", [26, 2**31 - 1, 2**31, 2**61 - 1, count_partitions(9), 10**40 + 7])
+@pytest.mark.parametrize("r_max", [1, 5])
+def test_draws_across_blocks_are_exact(monkeypatch, modulus, r_max):
+    # Three full blocks and a partial one.  2**31 is the first modulus reduced
+    # on Python ints instead of int64; at 2**61 - 1, int64 would overflow.
+    monkeypatch.setattr(cipher_module, "_BLOCK", 16)
+    params = ScheduleParams(3.5, 6.25, 0.45, -0.15)
+    assert _draws(params, modulus, r_max, 53) == stepped_draws(params, modulus, r_max, 53)
+
+
+def test_derive_schedule_peak_memory_is_blocked():
+    # The 65536 stage-1 pairs at n=8 take about 4 MB; the stream's floats
+    # are held a block at a time (all at once, the peak is about 17 MB).
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(5))
+    tracemalloc.start()
+    try:
+        derive_schedule(key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
 
 
 def test_schedule_depends_on_stage_seeds():

@@ -121,6 +121,46 @@ def test_analyze_full_mode(tmp_path):
     assert "psnr[noise_0.1] = " in text
 
 
+def test_analyze_pair_mode_on_single_pixel_images(tmp_path):
+    # n=0: every image is 1x1, so no direction has an adjacent pair
+    plain, key, cipher = tmp_path / "p.txt", tmp_path / "k.key", tmp_path / "c.txt"
+    save_multi(random_images(n=0, count=3, seed=29), plain)
+    assert run("keygen", "--key", str(key), "--n", "0", "--images", "3", "--seed", "1") == 0
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(cipher)) == 0
+    report = tmp_path / "report.txt"
+    assert run("analyze", "--in", str(cipher), "--in2", str(cipher), "--out", str(report)) == 0
+    text = report.read_text()
+    assert "correlation[horizontal][0] = undefined" in text
+    assert "npcr = 0.0000%" in text
+
+
+def test_analyze_checks_options_before_encrypting(tmp_path, capsys, monkeypatch):
+    plain = tmp_path / "plain.txt"
+    save_multi(natural_images(3, 2, seed=30), plain)  # 8x8 images
+    key = tmp_path / "k.key"
+    assert run("keygen", "--key", str(key), "--n", "3", "--images", "2", "--seed", "5") == 0
+
+    def no_work(*args):
+        raise AssertionError("encrypt ran before the options were checked")
+
+    monkeypatch.setattr("bakermic.cli.encrypt", no_work)
+    monkeypatch.setattr("bakermic.cipher.encrypt", no_work)
+    capsys.readouterr()
+    cases = [
+        (("--block", "0,0,8"), 1, "--block wants x,y,width,height"),
+        (("--block", "0,0,8,8,1"), 1, "--block wants x,y,width,height"),
+        (("--block", "0,0,a,8"), 2, "invalid literal"),
+        (("--block=-1,0,4,4",), 2, "block out of range"),
+        (("--block", "4,4,5,1"), 2, "block exceeds the image"),
+        (("--density", "1.5"), 2, "density must be in [0, 1]"),
+        (("--density=-0.1",), 2, "density must be in [0, 1]"),
+        (("--block", "0,0,8,8", "--density", "nan"), 2, "density must be in [0, 1]"),
+    ]
+    for flags, code, message in cases:
+        assert run("analyze", "--in", str(plain), "--key", str(key), *flags) == code, flags
+        assert message in capsys.readouterr().err, flags
+
+
 def test_analyze_requires_a_mode(tmp_path):
     images = random_images(n=2, count=1, seed=28)
     plain = tmp_path / "p.txt"
