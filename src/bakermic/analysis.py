@@ -132,6 +132,14 @@ def add_salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiI
     return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
 
 
+def _recovery_psnr(damaged: MultiImage, key: SecretKey, plain: MultiImage) -> np.ndarray:
+    """Per-image PSNR of the decrypted damaged ciphertext against the plaintext."""
+    recovered, _ = decrypt(damaged, key)
+    return np.array(
+        [psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth) for m in range(plain.m_prime)]
+    )
+
+
 def occlusion_test(
     cipher: MultiImage,
     key: SecretKey,
@@ -139,14 +147,7 @@ def occlusion_test(
     block: tuple[int, int, int, int],
 ) -> np.ndarray:
     """Per-image PSNR of decryption after zeroing a ciphertext block."""
-    damaged = occlude(cipher, block)
-    recovered, _ = decrypt(damaged, key)
-    return np.array(
-        [
-            psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)
-            for m in range(plain.m_prime)
-        ]
-    )
+    return _recovery_psnr(occlude(cipher, block), key, plain)
 
 
 def noise_test(
@@ -157,14 +158,7 @@ def noise_test(
     seed: int = 0,
 ) -> np.ndarray:
     """Per-image PSNR of decryption after salt-and-pepper ciphertext noise."""
-    noisy = add_salt_pepper(cipher, density, seed=seed)
-    recovered, _ = decrypt(noisy, key)
-    return np.array(
-        [
-            psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth)
-            for m in range(plain.m_prime)
-        ]
-    )
+    return _recovery_psnr(add_salt_pepper(cipher, density, seed=seed), key, plain)
 
 
 # ---------------------------------------------------------------------------

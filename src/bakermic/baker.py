@@ -94,53 +94,6 @@ def parse_widths(text: str) -> BakerPartition:
     return from_widths(widths)
 
 
-def _region_index(part: BakerPartition, x: int) -> int:
-    sums = part.prefix_sums()
-    for i in range(len(part.qs)):
-        if sums[i] <= x < sums[i + 1]:
-            return i
-    raise ValueError(f"x={x} outside the lattice")
-
-
-def apply(part: BakerPartition, point: tuple[int, int]) -> tuple[int, int]:
-    """Apply the map to one lattice point (x, y)."""
-    x, y = point
-    side = part.side
-    if not (0 <= x < side and 0 <= y < side):
-        raise ValueError(f"point {point} outside the {side}x{side} lattice")
-    i = _region_index(part, x)
-    start = part.prefix_sums()[i]
-    h = 1 << (part.n - part.qs[i])  # horizontal stretch = vertical squash
-    xp = (x - start) * h + y % h
-    yp = start + (y - y % h) // h
-    return xp, yp
-
-
-def apply_inverse(part: BakerPartition, point: tuple[int, int]) -> tuple[int, int]:
-    """Invert the map at one lattice point."""
-    xp, yp = point
-    side = part.side
-    if not (0 <= xp < side and 0 <= yp < side):
-        raise ValueError(f"point {point} outside the {side}x{side} lattice")
-    sums = part.prefix_sums()
-    for i, q in enumerate(part.qs):
-        if sums[i] <= yp < sums[i + 1]:
-            h = 1 << (part.n - q)
-            x = sums[i] + xp // h
-            y = (yp - sums[i]) * h + xp % h
-            return x, y
-    raise ValueError(f"point {point} outside every output band")
-
-
-def iterate(part: BakerPartition, point: tuple[int, int], rounds: int) -> tuple[int, int]:
-    """Apply the map `rounds` times (0 rounds is the identity)."""
-    if rounds < 0:
-        raise ValueError("rounds must be nonnegative")
-    for _ in range(rounds):
-        point = apply(part, point)
-    return point
-
-
 def permutation_table(part: BakerPartition) -> np.ndarray:
     """Whole-lattice permutation over flat indices x * 2**n + y.
 

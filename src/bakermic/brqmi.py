@@ -99,10 +99,6 @@ class MultiImage:
     def side(self) -> int:
         return 1 << self.n
 
-    def stack_exponent(self) -> int:
-        """Shared exponent k with 2**k >= max(m_prime, bit_depth)."""
-        return stack_exponent(self.m_prime, self.bit_depth)
-
 
 @dataclass
 class BitPlaneStack:
@@ -137,14 +133,6 @@ class BitPlaneStack:
     def stack_side(self) -> int:
         return 1 << self.k
 
-    def padding_mask(self) -> np.ndarray:
-        """Boolean mask over (image, plane) slots that carry no source data."""
-        s = self.stack_side
-        mask = np.zeros((s, s), dtype=bool)
-        mask[self.m_prime :, :] = True
-        mask[:, self.bit_depth :] = True
-        return mask
-
     def padding_bit_count(self) -> int:
         """Number of set bits sitting in padding slots.
 
@@ -162,7 +150,7 @@ def decompose(images: MultiImage) -> BitPlaneStack:
     The plane axis stores binary expansions little-endian, so recombining
     planes with weights 2**l reproduces the pixel values exactly.
     """
-    k = images.stack_exponent()
+    k = stack_exponent(images.m_prime, images.bit_depth)
     stack_side = 1 << k
     side = images.side
     bits = np.zeros((stack_side, stack_side, side, side), dtype=np.uint8)

@@ -34,8 +34,16 @@ class HenonSineParams:
     b: float = 0.3
 
     def validate(self) -> None:
-        if not (self.lambda1 > 1 and self.lambda2 > 1):
-            raise ValueError("lambda factors must exceed 1")
+        """Refuse a lambda not above 1, or so large that the step's sine argument overflows.
+
+        From [-1, 1]**2 the step's sine arguments never exceed pi * lambda * 2
+        in size, so a finite 2 * pi * lambda keeps every orbit finite.
+        """
+        lams = (self.lambda1, self.lambda2)
+        if not all(lam > 1 and math.isfinite(2 * math.pi * lam) for lam in lams):
+            raise ValueError(
+                f"lambda factors {self.lambda1!r}, {self.lambda2!r} must exceed 1 and keep 2*pi*lambda finite"
+            )
 
 
 def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, float]:
@@ -214,35 +222,13 @@ def rank_perms(xs: list[float], ys: list[float]) -> RankPerms:
 # Keystream integers
 
 
-def key_int(i: int, j: int, perms: RankPerms, q: int, k: int) -> int:
-    """Keystream integer for pixel (i, j), both 1-based, reduced mod 2**(2**k).
-
-    Couples the coordinates crosswise: the x-rank at i picks a Chebyshev
-    order applied to a y sample, and vice versa.  The product is scaled by
-    10**q and floored before Euclidean reduction, so the result is always
-    in [0, 2**(2**k)).
-    """
-    side = len(perms.s)
-    if not (1 <= i <= side and 1 <= j <= side):
-        raise ValueError("pixel coordinates are 1-based and bounded by the sample count")
-    a = chebyshev(perms.s[i - 1], perms.ys[side - i])
-    b = chebyshev(perms.t[j - 1], perms.xs[side - j])
-    v = math.floor((a * b) * float(10**q))
-    return v % (1 << (1 << k))
-
-
-def key_bits(i: int, j: int, perms: RankPerms, q: int, k: int) -> np.ndarray:
-    """Plane-indexed bit vector of the keystream integer, length 2**k."""
-    v = key_int(i, j, perms, q, k)
-    return np.array([(v >> l) & 1 for l in range(1 << k)], dtype=np.uint8)
-
-
 def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
     """All keystream integers of one image as a (side, side) array.
 
-    Matches key_int entrywise (same float evaluation order) but computes the
-    Chebyshev factors once per row/column instead of once per pixel.  The
-    array has the narrowest unsigned type that holds 2**(2**k) - 1.
+    Entry (i, j), 0-based, is
+    floor(T_s[i](ys[-1-i]) * T_t[j](xs[-1-j]) * 10**q) mod 2**(2**k), with
+    each Chebyshev factor computed once per row or column.  The array has
+    the narrowest unsigned type that holds 2**(2**k) - 1.
     """
     side = len(perms.s)
     width = 1 << k

@@ -89,14 +89,15 @@ class SecretKey:
             )
         if len(self.image_params) != self.m_prime:
             raise ValueError("one parameter triple per image is required")
-        for ip in self.image_params:
-            if not (ip.lambda1 > 1 and ip.lambda2 > 1):
-                raise ValueError("image lambda factors must exceed 1")
-            if not 4 <= ip.q <= 15:
-                raise ValueError("q must be in [4, 15]")
+        named = [(f"image {m}", ip) for m, ip in enumerate(self.image_params)]
+        for name, p in named + [("stage_a", self.stage_a), ("stage_b", self.stage_b)]:
+            try:
+                HenonSineParams(p.lambda1, p.lambda2).validate()
+            except ValueError as exc:
+                raise ValueError(f"{name} {exc}") from None
+        if not all(4 <= ip.q <= 15 for ip in self.image_params):
+            raise ValueError("q must be in [4, 15]")
         for sp in (self.stage_a, self.stage_b):
-            if not (sp.lambda1 > 1 and sp.lambda2 > 1):
-                raise ValueError("schedule lambda factors must exceed 1")
             if not (-1 <= sp.x0 <= 1 and -1 <= sp.y0 <= 1):
                 raise ValueError("schedule seeds must lie in [-1, 1]")
         if self.r_max1 < 1 or self.r_max2 < 1:
@@ -215,28 +216,23 @@ def read_key(path) -> SecretKey:
                 raise ValueError(f"{path}:{lineno}: duplicate field {name!r}")
             fields[name] = value.strip()
 
-    def take_int(name):
+    def take(name, parse=int):
         if name not in fields:
             raise ValueError(f"{path}: missing field {name!r}")
-        return int(fields.pop(name))
+        return parse(fields.pop(name))
 
-    def take_float(name):
-        if name not in fields:
-            raise ValueError(f"{path}: missing field {name!r}")
-        return hex_to_float(fields.pop(name))
-
-    version = take_int("version")
+    version = take("version")
     if version != KEY_VERSION:
         raise ValueError(f"{path}: unsupported key version {version}")
-    n = take_int("n")
-    k = take_int("k")
-    m_prime = take_int("images")
-    depth = take_int("depth")
+    n = take("n")
+    k = take("k")
+    m_prime = take("images")
+    depth = take("depth")
     images = tuple(
         ImageParams(
-            lambda1=take_float(f"lambda1_{m}"),
-            lambda2=take_float(f"lambda2_{m}"),
-            q=take_int(f"q_{m}"),
+            lambda1=take(f"lambda1_{m}", hex_to_float),
+            lambda2=take(f"lambda2_{m}", hex_to_float),
+            q=take(f"q_{m}"),
         )
         for m in range(m_prime)
     )
@@ -244,18 +240,18 @@ def read_key(path) -> SecretKey:
     for name in ("stage_a", "stage_b"):
         stages.append(
             ScheduleParams(
-                lambda1=take_float(f"{name}_lambda1"),
-                lambda2=take_float(f"{name}_lambda2"),
-                x0=take_float(f"{name}_x0"),
-                y0=take_float(f"{name}_y0"),
+                lambda1=take(f"{name}_lambda1", hex_to_float),
+                lambda2=take(f"{name}_lambda2", hex_to_float),
+                x0=take(f"{name}_x0", hex_to_float),
+                y0=take(f"{name}_y0", hex_to_float),
             )
         )
-    r_max1 = take_int("r_max1")
-    r_max2 = take_int("r_max2")
+    r_max1 = take("r_max1")
+    r_max2 = take("r_max2")
     intensity = bits = None
     if "intensity_sum" in fields or "bit_count" in fields:
-        intensity = take_int("intensity_sum")
-        bits = take_int("bit_count")
+        intensity = take("intensity_sum")
+        bits = take("bit_count")
     if fields:
         raise ValueError(f"{path}: unknown fields {sorted(fields)}")
     key = SecretKey(

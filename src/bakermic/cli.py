@@ -161,7 +161,17 @@ def cmd_analyze(args) -> int:
     return 0
 
 
+# C(n) doubles its digit count with each step of n: C(15) has about 5,800
+# digits, past Python's int-to-text limit, and C(40) would not fit in memory.
+_PARTITIONS_MAX_N = 14
+
+
 def cmd_partitions(args) -> int:
+    if args.action in ("count", "unrank") and args.n > _PARTITIONS_MAX_N:
+        raise ValueError(
+            f"n = {args.n} is too large: count and unrank handle n <= {_PARTITIONS_MAX_N} "
+            f"(C(15) already has about 5,800 digits)"
+        )
     if args.action == "count":
         print(baker.count_partitions(args.n))
     elif args.action == "unrank":

@@ -3,15 +3,14 @@ import pytest
 
 from bakermic.baker import (
     BakerPartition,
-    apply,
-    apply_inverse,
     count_partitions,
     from_widths,
-    iterate,
     parse_widths,
     permutation_table,
     unrank,
 )
+
+from oracles import apply, apply_inverse, iterate
 
 P8 = 1947270476915296449559703445493848930452791205
 

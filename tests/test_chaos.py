@@ -15,13 +15,13 @@ from bakermic.chaos import (
     emit_trajectory,
     henon_sine_lyapunov,
     henon_sine_step,
-    key_bits,
-    key_int,
     keystream_grid,
     lyapunov_estimate,
     rank_perms,
     seed_from_sums,
 )
+
+from oracles import key_bits, key_int
 
 
 def test_henon_sine_step_values():
@@ -49,7 +49,14 @@ def test_params_validation():
         HenonSineParams(1.0, 2.0).validate()
     with pytest.raises(ValueError):
         HenonSineParams(2.0, 0.5).validate()
+    # 2*pi*lambda must stay finite, or the step's sine argument overflows
+    for huge in (math.inf, 1e308, 2.9e307):
+        with pytest.raises(ValueError):
+            HenonSineParams(huge, 2.0).validate()
+        with pytest.raises(ValueError):
+            HenonSineParams(2.0, huge).validate()
     HenonSineParams(2.0, 2.0).validate()
+    HenonSineParams(1e300, 1e300).validate()
 
 
 def test_chebyshev_base_cases():

@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import math
 import os
 import random
 import tracemalloc
@@ -10,7 +11,7 @@ import pytest
 from bakermic import cipher as cipher_module
 from bakermic.baker import count_partitions
 from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
-from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step, key_int
+from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step
 from bakermic.cipher import (
     ImageParams,
     KeySchedule,
@@ -34,6 +35,7 @@ from bakermic.cipher import (
 )
 
 from conftest import natural_images, random_images
+from oracles import key_int
 
 
 def fixed_small_key(n=2, m_prime=2, bit_depth=4):
@@ -94,6 +96,13 @@ def test_key_validation():
         dataclasses.replace(key, image_params=bad_q).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(key, stage_a=ScheduleParams(2.0, 2.0, 1.5, 0.0)).validate()
+    for huge in (math.inf, 1e308, 2.9e307):
+        huge_ip = (ImageParams(2.5, huge, 5),) + key.image_params[1:]
+        with pytest.raises(ValueError, match="image 0 lambda factors"):
+            dataclasses.replace(key, image_params=huge_ip).validate()
+        with pytest.raises(ValueError, match="stage_b lambda factors"):
+            dataclasses.replace(key, stage_b=ScheduleParams(huge, 2.0, 0.5, 0.0)).validate()
+    dataclasses.replace(key, stage_b=ScheduleParams(1e300, 1e300, 0.5, 0.0)).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(key, r_max1=0).validate()
     with pytest.raises(ValueError):

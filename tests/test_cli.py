@@ -187,6 +187,16 @@ def test_partitions_commands(tmp_path, capsys):
     assert run("partitions", "unrank", "3", "99") == 2
 
 
+def test_partitions_refuses_large_n_before_counting(capsys, monkeypatch):
+    def no_count(n):
+        raise AssertionError("C(n) was computed before the refusal")
+
+    monkeypatch.setattr("bakermic.baker.count_partitions", no_count)
+    for argv in (("count", "15"), ("unrank", "40", "0")):
+        assert run("partitions", *argv) == 2
+        assert "n <= 14" in capsys.readouterr().err
+
+
 def test_circuit_commands(tmp_path, capsys):
     gates = tmp_path / "circuit.txt"
     assert run("circuit", "synth", "4,2,2", "--out", str(gates)) == 0
@@ -276,6 +286,25 @@ def test_empty_geometry_refused(tmp_path, capsys):
     key.write_text("".join(line + "\n" for line in lines if "_0 =" not in line))
     with pytest.raises(ValueError, match="at least one image"):
         read_key(key)
+
+
+def test_infinite_lambda_refused(tmp_path, capsys):
+    key = tmp_path / "k.key"
+    write_key(make_key(2, 1, 8, random.Random(1)), key)
+    lines = key.read_text().splitlines()
+    key.write_text(
+        "".join(
+            ("stage_a_lambda1 = 7ff0000000000000" if line.startswith("stage_a_lambda1") else line) + "\n"
+            for line in lines
+        )
+    )
+    with pytest.raises(ValueError, match="stage_a lambda factors"):
+        read_key(key)
+
+    fresh = tmp_path / "fresh.key"
+    assert run("keygen", "--key", str(fresh), "--n", "2", "--images", "1", "--lambda1", "inf", "--seed", "1") == 2
+    assert "image 0 lambda factors" in capsys.readouterr().err
+    assert not fresh.exists()
 
 
 def test_degenerate_key_asks_for_a_new_one(tmp_path, capsys, monkeypatch):

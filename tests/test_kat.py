@@ -7,7 +7,7 @@ little-endian uint32) and of the key file written after encryption.  A
 change to either digest changes the cipher and needs a KEY_VERSION bump.
 
 The stage tests check both scrambling stages against the scalar oracle
-baker.iterate at every rounds value from 0 to the key's round cap.
+oracles.iterate at every rounds value from 0 to the key's round cap.
 """
 
 import hashlib
@@ -29,6 +29,8 @@ from bakermic.cipher import (
     scramble_positions,
     write_key,
 )
+
+from oracles import iterate
 
 # (n, M', depth): (ciphertext sha256, key file sha256)
 KAT = {
@@ -104,7 +106,7 @@ def moved(lattice_n, rank, rounds):
     side = 1 << lattice_n
     return [
         x * side + y
-        for x, y in (baker.iterate(part, (p // side, p % side), rounds) for p in range(side * side))
+        for x, y in (iterate(part, (p // side, p % side), rounds) for p in range(side * side))
     ]
 
 

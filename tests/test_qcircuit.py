@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from bakermic.baker import count_partitions, from_widths, iterate, permutation_table, unrank
+from bakermic.baker import count_partitions, from_widths, permutation_table, unrank
 from bakermic.qcircuit import (
     Circuit,
     Gate,
@@ -14,6 +14,8 @@ from bakermic.qcircuit import (
     verify,
     wire_name,
 )
+
+from oracles import iterate
 
 
 def test_wire_names():
