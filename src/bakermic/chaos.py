@@ -3,8 +3,11 @@
 The diffusion keystream mixes two sources: a sine-wrapped Henon orbit seeded
 from exact whole-set image statistics, and Chebyshev polynomials indexed by
 rank permutations of that orbit.  Everything here is deterministic given the
-seed values; Chebyshev evaluation goes through extended precision so that
-large orders stay accurate to well below the tolerances used downstream.
+seed values.  Chebyshev values come from two paths that agree bit for bit:
+chebyshev, one value at 136 bits through integer mpmath.libmp arithmetic
+(the seed's order, the appendix table), and chebyshev_many, a whole vector
+in numpy double-double arithmetic (the keystream grids), which hands the few
+entries near a rounding midpoint to chebyshev.  Neither calls libm.
 """
 
 from __future__ import annotations
@@ -33,17 +36,22 @@ class HenonSineParams:
     a: float = 1.4
     b: float = 0.3
 
-    def validate(self) -> None:
-        """Refuse a lambda not above 1, or so large that the step's sine argument overflows.
+    def check_finite(self) -> None:
+        """Refuse a lambda for which 2 * pi * lambda is not finite (nan, inf, or too large).
 
         From [-1, 1]**2 the step's sine arguments never exceed pi * lambda * 2
-        in size, so a finite 2 * pi * lambda keeps every orbit finite.
+        in size, so a finite 2 * pi * lambda keeps every orbit finite.  Any
+        other lambda passes, 1.0 included, so the map can be studied there.
         """
-        lams = (self.lambda1, self.lambda2)
-        if not all(lam > 1 and math.isfinite(2 * math.pi * lam) for lam in lams):
-            raise ValueError(
-                f"lambda factors {self.lambda1!r}, {self.lambda2!r} must exceed 1 and keep 2*pi*lambda finite"
-            )
+        for name, lam in (("lambda1", self.lambda1), ("lambda2", self.lambda2)):
+            if not math.isfinite(2 * math.pi * lam):
+                raise ValueError(f"lambda factors {self.lambda1!r}, {self.lambda2!r}: 2*pi*{name} is not finite")
+
+    def validate(self) -> None:
+        """Refuse a lambda that check_finite refuses, or one not above 1."""
+        self.check_finite()
+        if not (self.lambda1 > 1 and self.lambda2 > 1):
+            raise ValueError(f"lambda factors {self.lambda1!r}, {self.lambda2!r} must exceed 1")
 
 
 def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, float]:
@@ -64,7 +72,10 @@ def chebyshev(k: int, x: float) -> float:
     identity T_k(cos t) = cos(k t) survives orders up to about 10**6 at
     double precision instead of degrading by k ulps.  The mpmath.libmp calls
     are the ones float(mpmath.cos(k * mpmath.acos(mpmath.mpf(x)))) makes
-    under workdps(40), without the wrapper and context overhead.
+    under workdps(40), without the wrapper and context overhead.  This is
+    the reference: seed_from_sums (whose order is the bit count, up to
+    millions) and the appendix table call it directly, and chebyshev_many
+    calls it for the entries it cannot round with certainty.
     """
     k = int(k)
     if k < 0:
@@ -78,6 +89,109 @@ def chebyshev(k: int, x: float) -> float:
     prec, rnd = _CHEB_PREC, round_nearest
     t = mpf_mul_int(mpf_acos(from_float(x), prec, rnd), k, prec, rnd)
     return to_float(mpf_cos(t, prec, rnd), rnd=rnd)
+
+
+# ---------------------------------------------------------------------------
+# Many Chebyshev values at once, in double-double
+#
+# A double-double is an unevaluated sum hi + lo of two doubles with
+# |lo| <= ulp(hi)/2, about 106 significant bits (Dekker, "A floating-point
+# technique for extending the available precision", 1971).  numpy has no fma,
+# so the exact product of two doubles comes from Veltkamp splitting: the code
+# below uses only binary64 +, - and *, and no libm call.
+
+_SPLITTER = 134217729.0  # 2**27 + 1: splits a double into two 26-bit halves
+
+# Absolute error band of the ladder: B(k) = 4**bitlen(k) * _BAND_UNIT.
+#
+# Let the pair (T_j, T_j+1) carry errors d_a, d_b.  The true values lie in
+# [-1, 1], so T_2j = 2*a*a - 1 moves by at most 4|d_a| and
+# T_2j+1 = 2*a*b - x by at most 2|d_a| + 2|d_b| (to first order): the worst
+# error grows at most 4-fold per ladder step.  Each _twice_product_minus on
+# operands of size at most 1 + eps adds at most 18 units of 2**-106: the
+# dropped 2*al*bl (2**-105), the doubled roundings of the low word
+# (2 * (2 * 2**-107 + 2**-106 + 2**-105)) and the rounding of t + 2e (2**-103).
+# The first step from the exact (1, x) costs one operation, so after the
+# L = bitlen(k) steps the ladder is within 18 * (4**L - 1) / 3 * 2**-106,
+# under 6 * 4**L * 2**-106.  The 136-bit reference is itself off T_k(x) by
+# under 5k * 2**-134 even if acos, the product by k and cos each miss by two
+# ulps at 136 bits (acos x <= pi, so the first two scale with k pi), which is
+# under 4**L * 2**-131 (k = 0 and k = 1 are exact).  Both together stay
+# under 7 * 4**L * 2**-106, a ninth of B.  A leading zero bit maps (1, x) to
+# itself exactly and adds nothing; underflow in the low words adds only
+# absolute errors near 2**-1074 per step, far below B.
+_BAND_UNIT = 2.0**-100
+
+
+def _split(a):
+    c = _SPLITTER * a
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+def _two_sum(a, b):
+    """fl(a + b) and the exact residual a + b - fl(a + b) (Knuth)."""
+    s = a + b
+    bb = s - a
+    return s, (a - (s - bb)) + (b - bb)
+
+
+def _twice_product_minus(ah, al, bh, bl, c):
+    """2*a*b - c as a double-double, for double-doubles a, b and a double c."""
+    (a1, a2), (b1, b2) = _split(ah), _split(bh)
+    p = ah * bh
+    e = ((a1 * b1 - p) + a1 * b2 + a2 * b1) + a2 * b2  # ah*bh - p, exactly (Dekker)
+    e = e + (ah * bl + al * bh)
+    s, t = _two_sum(2.0 * p, -c)
+    return _two_sum(s, t + 2.0 * e)
+
+
+def chebyshev_many(orders, xs) -> np.ndarray:
+    """chebyshev(orders[i], xs[i]) for every i, as a float64 array.
+
+    The result is bit for bit what chebyshev returns, signed zeros included.
+    Each T_k(x) is evaluated in double-double by the binary ladder on
+    (T_j, T_j+1): T_2j = 2 T_j**2 - 1 and T_2j+1 = 2 T_j T_j+1 - x, walking
+    the bits of k from the top from (T_0, T_1) = (1, x).  The double-double
+    value v is rounded once to r with an exact residual.  An entry is kept
+    only when every value within the band B(k) of v rounds to r too (Ziv,
+    "Fast evaluation of elementary mathematical functions with correctly
+    rounded last bit", 1991); since the 136-bit reference lies in that
+    band, it rounds to r as well.  r = 0 or a subnormal r never passes.
+    Every other entry, near a rounding midpoint, is computed by the scalar
+    chebyshev.  Orders are nonnegative integers below 2**63.
+    """
+    k = np.asarray(orders, dtype=np.int64)
+    x = np.asarray(xs, dtype=np.float64)
+    if k.ndim != 1 or k.shape != x.shape:
+        raise ValueError("orders and samples must be 1-D of the same length")
+    if (k < 0).any():
+        raise ValueError("order must be nonnegative")
+    outside = ~((-1.0 <= x) & (x <= 1.0))
+    if outside.any():
+        raise ValueError(f"argument {x[outside][0]} outside [-1, 1]")
+    ah, al, bh, bl = np.ones_like(x), np.zeros_like(x), x, np.zeros_like(x)
+    for shift in range(int(k.max(initial=0)).bit_length() - 1, -1, -1):
+        bit = ((k >> shift) & 1).astype(bool)
+        # T_2j+1 is in the next pair either way; the other member squares
+        # T_j (bit 0: T_2j) or T_j+1 (bit 1: T_2j+2).
+        ch, cl = np.where(bit, bh, ah), np.where(bit, bl, al)
+        oh, ol = _twice_product_minus(ah, al, bh, bl, x)
+        qh, ql = _twice_product_minus(ch, cl, ch, cl, 1.0)
+        ah, al = np.where(bit, oh, qh), np.where(bit, ol, ql)
+        bh, bl = np.where(bit, qh, oh), np.where(bit, ql, ol)
+    r, e = _two_sum(ah, al)
+    band = np.ldexp(_BAND_UNIT, 2 * np.frexp(k.astype(np.float64))[1])
+    # All of [v - B, v + B] rounds to r when it stays inside the half gaps to
+    # r's neighbours; at a power of two the gap toward zero is half the other.
+    # The comparisons are exact: rounding is monotonic and the half gaps are
+    # doubles (or 0, for r = 0 and subnormal r, which then always fail).
+    up = np.nextafter(r, np.inf) - r
+    down = r - np.nextafter(r, -np.inf)
+    near = ~((e + band < 0.5 * up) & (band - e < 0.5 * down))
+    for i in np.flatnonzero(near):
+        r[i] = chebyshev(int(k[i]), float(x[i]))
+    return r
 
 
 # ---------------------------------------------------------------------------
@@ -227,20 +341,17 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
 
     Entry (i, j), 0-based, is
     floor(T_s[i](ys[-1-i]) * T_t[j](xs[-1-j]) * 10**q) mod 2**(2**k), with
-    each Chebyshev factor computed once per row or column.  The array has
-    the narrowest unsigned type that holds 2**(2**k) - 1.
+    each Chebyshev factor computed once per row or column by a single
+    chebyshev_many call over both factor vectors, so the factors are the
+    values chebyshev returns.  The array has the narrowest unsigned type
+    that holds 2**(2**k) - 1.
     """
     side = len(perms.s)
     width = 1 << k
     if width > 62:
         raise ValueError("plane count too large for the vectorised keystream")
-    a = np.array(
-        [chebyshev(perms.s[i], perms.ys[side - 1 - i]) for i in range(side)]
-    )
-    b = np.array(
-        [chebyshev(perms.t[j], perms.xs[side - 1 - j]) for j in range(side)]
-    )
-    v = np.floor(np.outer(a, b) * float(10**q)).astype(np.int64)
+    ab = chebyshev_many(perms.s + perms.t, perms.ys[::-1] + perms.xs[::-1])
+    v = np.floor(np.outer(ab[:side], ab[side:]) * float(10**q)).astype(np.int64)
     return (v % np.int64(1 << width)).astype(_dtype_for_depth(width))
 
 
@@ -316,9 +427,14 @@ def henon_sine_lyapunov(
 def emit_trajectory(
     p: HenonSineParams, seed: tuple[float, float], count: int
 ) -> list[str]:
-    """CSV rows of the orbit; the first data row is the seed itself."""
+    """CSV rows of the orbit; the first data row is the seed itself.
+
+    Refuses lambdas that HenonSineParams.check_finite refuses, before any
+    step; lambdas at or below 1 are accepted for studies of the map.
+    """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    p.check_finite()
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["step", "x", "y"])

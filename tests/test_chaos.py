@@ -1,14 +1,17 @@
 import math
+import random
 
 import mpmath
 import numpy as np
 import pytest
 
+from bakermic import chaos
 from bakermic.brqmi import MultiImage
 from bakermic.chaos import (
     DegenerateKeyError,
     HenonSineParams,
     chebyshev,
+    chebyshev_many,
     derive_seed,
     distinct_sequence,
     emit_chebyshev_table,
@@ -20,6 +23,7 @@ from bakermic.chaos import (
     rank_perms,
     seed_from_sums,
 )
+from bakermic.cipher import make_key
 
 from oracles import key_bits, key_int
 
@@ -111,6 +115,94 @@ def test_chebyshev_domain_errors():
         chebyshev(-1, 0.5)
     assert chebyshev(4, 1.0) == pytest.approx(1.0, abs=1e-15)
     assert chebyshev(4, -1.0) == pytest.approx(1.0, abs=1e-15)
+
+
+def assert_same_floats(got, want):
+    """Equal as doubles, and equal in sign, so -0.0 and 0.0 differ."""
+    assert got.dtype == np.float64 and got.shape == want.shape
+    same = (got == want) & (np.signbit(got) == np.signbit(want))
+    assert same.all(), [(float(g), float(w)) for g, w in zip(got[~same], want[~same])][:5]
+
+
+def scalar_chebyshev(orders, xs):
+    return np.array([chebyshev(int(k), float(x)) for k, x in zip(orders, xs)])
+
+
+EDGE_SAMPLES = [1.0, -1.0, 0.0, -0.0, math.nextafter(1.0, 0.0), math.nextafter(-1.0, 0.0), 5e-324, -5e-324, 1e-300]
+
+
+def test_chebyshev_many_matches_scalar():
+    rng = np.random.default_rng(909)
+    edges = [(k, x) for k in (0, 1, 2, 3, 2**10 - 1, 2**10) for x in EDGE_SAMPLES]
+    n = 20_000
+    orders = rng.integers(0, 2**10 + 1, n)
+    xs = rng.uniform(-1.0, 1.0, n)
+    near_one = rng.random(n) < 0.1  # within 1e-15 of +-1
+    xs[near_one] = np.copysign(1.0 - rng.uniform(0.0, 1e-15, near_one.sum()), xs[near_one])
+    at_edge = rng.random(n) < 0.02
+    xs[at_edge] = rng.choice(EDGE_SAMPLES, at_edge.sum())
+    orders = np.concatenate([[k for k, _ in edges], orders])
+    xs = np.concatenate([[x for _, x in edges], xs])
+    assert_same_floats(chebyshev_many(orders, xs), scalar_chebyshev(orders, xs))
+
+
+def test_chebyshev_many_shapes_and_domain():
+    assert chebyshev_many([], []).shape == (0,)
+    assert chebyshev_many((0, 1), [-0.0, -0.0]).tolist() == [1.0, -0.0]
+    with pytest.raises(ValueError):
+        chebyshev_many([3], [1.0001])
+    with pytest.raises(ValueError):
+        chebyshev_many([3], [math.nan])
+    with pytest.raises(ValueError):
+        chebyshev_many([-1], [0.5])
+    with pytest.raises(ValueError):
+        chebyshev_many([1, 2], [0.5])
+
+
+def counting_chebyshev(monkeypatch):
+    """Wrap chaos.chebyshev, the fallback of chebyshev_many; returns the call log."""
+    calls = []
+
+    def counted(k, x):
+        calls.append((k, x))
+        return scalar(k, x)
+
+    scalar = chaos.chebyshev
+    monkeypatch.setattr(chaos, "chebyshev", counted)
+    return calls
+
+
+def test_chebyshev_many_equal_with_every_entry_falling_back(monkeypatch):
+    rng = np.random.default_rng(4)
+    orders = np.concatenate([[0, 1, 2, 2**10], rng.integers(0, 2**10 + 1, 300)])
+    xs = np.concatenate([[0.5, -0.0, 1.0, -1.0], rng.uniform(-1.0, 1.0, 300)])
+    want = scalar_chebyshev(orders, xs)
+    monkeypatch.setattr(chaos, "_BAND_UNIT", 1.0)  # a band of at least 1 rounds nothing with certainty
+    calls = counting_chebyshev(monkeypatch)
+    assert_same_floats(chebyshev_many(orders, xs), want)
+    assert len(calls) == orders.size
+
+
+def test_chebyshev_many_rarely_falls_back_on_real_orbits(monkeypatch):
+    """The keystream's own inputs: n=7 rank orders applied to orbit samples."""
+    key = make_key(7, 16, 8, random.Random(3))
+    rng = random.Random(3)
+    orders, xs = [], []
+    for ip in key.image_params:
+        try:
+            ox, oy = distinct_sequence(
+                (rng.random(), rng.uniform(-1.0, 1.0)), HenonSineParams(ip.lambda1, ip.lambda2), count=128
+            )
+        except DegenerateKeyError:
+            continue
+        perms = rank_perms(ox, oy)
+        orders += perms.s + perms.t
+        xs += perms.ys[::-1] + perms.xs[::-1]
+    assert len(orders) >= 8 * 256
+    want = scalar_chebyshev(orders, xs)
+    calls = counting_chebyshev(monkeypatch)
+    assert_same_floats(chebyshev_many(orders, xs), want)
+    assert len(calls) < 0.01 * len(orders)
 
 
 def test_seed_examples():
@@ -249,6 +341,16 @@ def test_keystream_grid_matches_scalar():
     for i in range(8):
         for j in range(8):
             assert grid[i, j] == key_int(i + 1, j + 1, perms, q=5, k=3)
+
+
+def test_keystream_grid_matches_scalar_at_side_128():
+    xs, ys = distinct_sequence((0.61, -0.35), HenonSineParams(3.3, 5.9), count=128)
+    perms = rank_perms(xs, ys)
+    grid = keystream_grid(perms, q=7, k=4)
+    assert grid.shape == (128, 128) and grid.dtype == np.uint16
+    rng = np.random.default_rng(128)
+    for i, j in rng.integers(0, 128, (500, 2)):
+        assert grid[i, j] == key_int(int(i) + 1, int(j) + 1, perms, q=7, k=4), (i, j)
 
 
 def test_keystream_bit_balance():

@@ -226,6 +226,19 @@ def test_appendix_commands(tmp_path):
     assert len(lines) == 6
 
 
+def test_appendix_henon_refuses_a_nonfinite_lambda(tmp_path, capsys):
+    orbit = tmp_path / "orbit.csv"
+    for bad in ("nan", "inf", "1e308"):
+        assert run("appendix", "henon", "--lambda1", bad, "--lambda2", "2", "--count", "3", "--out", str(orbit)) == 2
+        assert "2*pi*lambda1 is not finite" in capsys.readouterr().err
+        assert not orbit.exists()
+    assert run("appendix", "henon", "--lambda1", "2", "--lambda2=-inf", "--count", "3", "--out", str(orbit)) == 2
+    assert "2*pi*lambda2 is not finite" in capsys.readouterr().err
+    # lambda 1.0 stays open for studies of the map
+    assert run("appendix", "henon", "--lambda1", "1.0", "--lambda2", "1.0", "--count", "3", "--out", str(orbit)) == 0
+    assert len(orbit.read_text().splitlines()) == 4
+
+
 def test_stdout_output(capsys):
     assert run("circuit", "synth", "1,1") == 0
     assert "# n=1" in capsys.readouterr().out

@@ -1,4 +1,5 @@
-"""Property tests: encrypt/decrypt round trips over small geometries, and rounds 0 as the identity."""
+"""Property tests: encrypt/decrypt round trips over small geometries, rounds 0 as the identity, and
+the vector Chebyshev values equal to the scalar ones."""
 
 import random
 
@@ -8,7 +9,7 @@ from hypothesis import strategies as st
 
 from bakermic.baker import count_partitions
 from bakermic.brqmi import MultiImage, decompose
-from bakermic.chaos import DegenerateKeyError
+from bakermic.chaos import DegenerateKeyError, chebyshev, chebyshev_many
 from bakermic.cipher import (
     KeySchedule,
     decrypt,
@@ -67,3 +68,11 @@ def test_zero_rounds_leave_both_stages_the_identity(case):
     )
     for stage in (scramble_images_planes, inverse_scramble_images_planes, scramble_positions, inverse_scramble_positions):
         assert np.array_equal(stage(stack, sched).bits, stack.bits)
+
+
+@SETTINGS
+@given(st.lists(st.tuples(st.integers(0, 2**10), st.floats(-1.0, 1.0)), max_size=16))
+def test_chebyshev_many_is_the_scalar_chebyshev(pairs):
+    got = chebyshev_many([k for k, _ in pairs], [x for _, x in pairs])
+    want = np.array([chebyshev(k, x) for k, x in pairs])
+    assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want))
