@@ -12,8 +12,6 @@ entries near a rounding midpoint to chebyshev.  Neither calls libm.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 from dataclasses import dataclass
 
@@ -429,29 +427,28 @@ def emit_trajectory(
 ) -> list[str]:
     """CSV rows of the orbit; the first data row is the seed itself.
 
-    Refuses lambdas that HenonSineParams.check_finite refuses, before any
-    step; lambdas at or below 1 are accepted for studies of the map.
+    Refuses a non-finite seed, and lambdas that HenonSineParams.check_finite
+    refuses, before any step.  Finite seeds outside [-1, 1] and lambdas at or
+    below 1 are accepted for studies of the map.
     """
     if count < 0:
         raise ValueError("count must be nonnegative")
+    if not all(math.isfinite(c) for c in seed):
+        raise ValueError(f"seed {seed[0]!r}, {seed[1]!r} is not finite")
     p.check_finite()
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["step", "x", "y"])
+    rows = ["step,x,y"]
     x, y = seed
     for step in range(count):
-        writer.writerow([step, repr(x), repr(y)])
+        rows.append(f"{step},{x!r},{y!r}")
         x, y = henon_sine_step(x, y, p)
-    return buf.getvalue().splitlines()
+    return rows
 
 
 def emit_chebyshev_table(k_max: int, xs: list[float]) -> list[str]:
     """CSV rows tabulating T_0..T_k_max over the given sample points."""
     if k_max < 0:
         raise ValueError("k_max must be nonnegative")
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["x"] + [f"T{k}" for k in range(k_max + 1)])
+    rows = [",".join(["x"] + [f"T{k}" for k in range(k_max + 1)])]
     for x in xs:
-        writer.writerow([repr(float(x))] + [repr(chebyshev(k, x)) for k in range(k_max + 1)])
-    return buf.getvalue().splitlines()
+        rows.append(",".join([repr(float(x))] + [repr(chebyshev(k, x)) for k in range(k_max + 1)]))
+    return rows

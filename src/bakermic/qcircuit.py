@@ -214,27 +214,29 @@ def simulate_permutation(circuit: Circuit) -> np.ndarray:
     """Exact basis-state permutation computed by the circuit.
 
     Returns an array P with P[v] = output state for input v over all
-    2**(2n) basis states.  Refuses circuits wider than 32 wires.
+    2**(2n) basis states.  Each gate is one in-place masked XOR of its two
+    target bits where they differ and every control bit holds its value.
+    Refuses circuits wider than 24 wires (2**24 states), before allocating.
     """
     n = circuit.n
-    if 2 * n > 32:
-        raise ValueError("state space too large to enumerate (2n > 32)")
+    if 2 * n > 24:
+        raise ValueError(f"n={n}: simulation is capped at 2**24 states (n <= 12)")
     v = np.arange(1 << (2 * n), dtype=np.int64)
     for g in circuit.gates:
-        fire = np.ones(v.shape, dtype=bool)
-        for w, val in g.controls:
-            bit = (v >> w) & 1
-            fire &= bit == (1 if val else 0)
-        a, b = g.targets
-        differ = ((v >> a) & 1) != ((v >> b) & 1)
-        flip = fire & differ
-        mask = np.int64((1 << a) | (1 << b))
-        v = np.where(flip, v ^ mask, v)
+        swap = sum(1 << t for t in g.targets)
+        cmask = sum(1 << w for w, _ in g.controls)
+        cval = sum(1 << w for w, val in g.controls if val)
+        pair = v & swap
+        fire = (pair != 0) & (pair != swap) & ((v & cmask) == cval)
+        np.bitwise_xor(v, swap, out=v, where=fire)
     return v
 
 
 def verify(circuit: Circuit, part: BakerPartition) -> bool:
-    """Check the circuit against the map's whole-lattice permutation."""
+    """Check the circuit against the map's whole-lattice permutation.
+
+    Raises ValueError above 2**24 states (n > 12), as simulate_permutation does.
+    """
     if circuit.n != part.n:
         return False
     return bool(np.array_equal(simulate_permutation(circuit), permutation_table(part)))

@@ -1,7 +1,8 @@
 """The paper's point-wise formulas, which the package's vectorised code is checked against.
 
 The package runs only whole-lattice forms: baker.permutation_table for the
-baker map, chaos.keystream_grid for the keystream, and
+baker map, chaos.keystream_grid for the keystream,
+qcircuit.simulate_permutation for circuits, and
 BitPlaneStack.padding_bit_count for stray padding bits.  The functions here
 state the same rules one point, one pixel or one slot at a time, as the
 paper defines them, so tests can compare the two statements entry by entry.
@@ -16,6 +17,7 @@ import numpy as np
 from bakermic.baker import BakerPartition
 from bakermic.brqmi import BitPlaneStack
 from bakermic.chaos import RankPerms, chebyshev
+from bakermic.qcircuit import Circuit
 
 
 # ---------------------------------------------------------------------------
@@ -67,6 +69,20 @@ def iterate(part: BakerPartition, point: tuple[int, int], rounds: int) -> tuple[
     for _ in range(rounds):
         point = apply(part, point)
     return point
+
+
+# ---------------------------------------------------------------------------
+# Circuits, one basis state at a time
+
+
+def apply_gates(circuit: Circuit, v: int) -> int:
+    """Run one basis state through the gates, checking one control at a time."""
+    for g in circuit.gates:
+        if all(((v >> w) & 1) == val for w, val in g.controls):
+            a, b = g.targets
+            if ((v >> a) & 1) != ((v >> b) & 1):
+                v ^= (1 << a) | (1 << b)
+    return v
 
 
 # ---------------------------------------------------------------------------

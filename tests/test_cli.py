@@ -206,6 +206,11 @@ def test_circuit_commands(tmp_path, capsys):
     assert run("circuit", "verify", "--in", str(gates), "2,2,4") == 3
     assert "FAIL" in capsys.readouterr().out
     assert run("circuit", "synth", "2,4,2", "--out", str(gates)) == 2  # inadmissible
+    # n=13 has 2**26 states: refused with the limit before any state array
+    assert run("circuit", "synth", "8192", "--out", str(gates)) == 0
+    capsys.readouterr()
+    assert run("circuit", "verify", "--in", str(gates), "8192") == 2
+    assert "capped at 2**24 states (n <= 12)" in capsys.readouterr().err
 
 
 def test_appendix_commands(tmp_path):
@@ -237,6 +242,17 @@ def test_appendix_henon_refuses_a_nonfinite_lambda(tmp_path, capsys):
     # lambda 1.0 stays open for studies of the map
     assert run("appendix", "henon", "--lambda1", "1.0", "--lambda2", "1.0", "--count", "3", "--out", str(orbit)) == 0
     assert len(orbit.read_text().splitlines()) == 4
+    orbit.unlink()
+    for flag in ("--x0", "--y0"):
+        for bad in ("nan", "inf", "-inf"):
+            assert run("appendix", "henon", "--lambda1", "2", "--lambda2", "2", f"{flag}={bad}", "--out", str(orbit)) == 2
+            assert "is not finite" in capsys.readouterr().err
+            assert not orbit.exists()
+    # a finite seed outside [-1, 1] is accepted: the first step maps it into the square
+    assert run("appendix", "henon", "--lambda1", "2", "--lambda2", "2", "--x0", "5", "--count", "3", "--out", str(orbit)) == 0
+    rows = orbit.read_text().splitlines()
+    assert rows[1] == "0,5.0,0.1"
+    assert all(abs(float(c)) <= 1 for row in rows[2:] for c in row.split(",")[1:])
 
 
 def test_stdout_output(capsys):

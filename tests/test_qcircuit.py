@@ -15,7 +15,7 @@ from bakermic.qcircuit import (
     wire_name,
 )
 
-from oracles import iterate
+from oracles import apply_gates, iterate
 
 
 def test_wire_names():
@@ -84,8 +84,20 @@ def test_simulate_is_always_a_bijection():
                 picks = rng.choice(free, size=int(rng.integers(0, len(free) + 1)), replace=False)
                 ctl = tuple((int(w), bool(rng.integers(2))) for w in picks)
             gates.append(Gate(targets=(int(a), int(b)), controls=ctl))
-        perm = simulate_permutation(Circuit(n=n, gates=gates))
+        circ = Circuit(n=n, gates=gates)
+        perm = simulate_permutation(circ)
         assert sorted(perm.tolist()) == list(range(1 << (2 * n)))
+        assert perm.tolist() == [apply_gates(circ, v) for v in range(1 << (2 * n))]
+
+
+def test_simulate_refuses_more_than_2_24_states():
+    with pytest.raises(ValueError, match=r"2\*\*24 states \(n <= 12\)"):
+        simulate_permutation(Circuit(n=13))
+    with pytest.raises(ValueError, match=r"2\*\*24 states"):
+        verify(Circuit(n=13), from_widths((1 << 13,)))
+    perm = simulate_permutation(Circuit(n=12))
+    assert perm.dtype == np.int64
+    assert np.array_equal(perm, np.arange(1 << 24))
 
 
 def test_synthesize_trivial_partitions():
