@@ -427,8 +427,10 @@ def emit_trajectory(
 ) -> list[str]:
     """CSV rows of the orbit; the first data row is the seed itself.
 
-    Refuses a non-finite seed, and lambdas that HenonSineParams.check_finite
-    refuses, before any step.  Finite seeds outside [-1, 1] and lambdas at or
+    Refuses a non-finite seed, lambdas that HenonSineParams.check_finite
+    refuses, and a seed whose first step has a sine argument that is not
+    finite, before any step.  Later steps start in [-1, 1]**2, where
+    check_finite bounds them.  Finite seeds outside [-1, 1] and lambdas at or
     below 1 are accepted for studies of the map.
     """
     if count < 0:
@@ -436,8 +438,14 @@ def emit_trajectory(
     if not all(math.isfinite(c) for c in seed):
         raise ValueError(f"seed {seed[0]!r}, {seed[1]!r} is not finite")
     p.check_finite()
-    rows = ["step,x,y"]
     x, y = seed
+    first = (math.pi * p.lambda1 * (1.0 - p.a * x * x + y), math.pi * p.lambda2 * (p.b * x))
+    if not all(math.isfinite(arg) for arg in first):
+        raise ValueError(
+            f"seed {x!r}, {y!r} with lambda factors {p.lambda1!r}, {p.lambda2!r}: "
+            "the first step's sine argument is not finite"
+        )
+    rows = ["step,x,y"]
     for step in range(count):
         rows.append(f"{step},{x!r},{y!r}")
         x, y = henon_sine_step(x, y, p)

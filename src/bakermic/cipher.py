@@ -87,6 +87,12 @@ class SecretKey:
                 f"stack exponent k={self.k} inconsistent with "
                 f"{self.m_prime} images of depth {self.bit_depth}"
             )
+        if self.k > 5:
+            # the keystream's 2**k-bit integers would pass int64
+            raise ValueError(
+                f"{self.m_prime} images of depth {self.bit_depth} need k={self.k}: "
+                "a key holds at most 32 images of at most 32 bits"
+            )
         if len(self.image_params) != self.m_prime:
             raise ValueError("one parameter triple per image is required")
         named = [(f"image {m}", ip) for m, ip in enumerate(self.image_params)]
@@ -279,15 +285,15 @@ def read_key(path) -> SecretKey:
 class KeySchedule:
     """Per-site baker selections for both scrambling stages.
 
-    stage1 has one (partition rank, rounds) pair per pixel in row-major
-    order; its partitions live on the 2**k (image, plane) lattice.  stage2
-    has one pair per (image, plane) slot in row-major order; its partitions
-    live on the 2**n pixel lattice.
+    Sites go in row-major order.  stage1 is _draws' read-only (partition rank,
+    rounds) array, one entry per pixel (2 bytes each at k=3: 512 KB at n=9),
+    with partitions on the 2**k (image, plane) lattice.  stage2 has one pair of
+    ints per (image, plane) slot, with partitions on the 2**n pixel lattice.
     """
 
     n: int
     k: int
-    stage1: list[tuple[int, int]]
+    stage1: np.ndarray
     stage2: list[tuple[int, int]]
 
     @functools.cached_property
@@ -297,24 +303,25 @@ class KeySchedule:
         One powered table per distinct selection, built on first use and
         kept for every later stage-1 pass under this schedule.
         """
-        index: dict = {}
-        codes = np.fromiter(
-            (index.setdefault(sel, len(index)) for sel in self.stage1),
-            dtype=np.intp,
-            count=len(self.stage1),
-        )
-        return codes, _tables(self.k, list(index))
+        rank, rounds = self.stage1["rank"], self.stage1["rounds"]
+        span = int(rounds.max()) + 1
+        # rank < C(5) = 458330 (k <= 5) and span <= 2**32 + 1, so keys stay below 2**51
+        keys, codes = np.unique(rank.astype(np.int64) * span + rounds.astype(np.int64), return_inverse=True)
+        sels = [divmod(key, span) for key in keys.tolist()]
+        return codes.astype(np.min_scalar_type(len(keys) - 1)), _tables(self.k, sels)
 
 
 _BLOCK = 1024  # draws per block: the recurrence fills one block of floats, numpy reduces it
 
 
 def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
-    """Raw generator draws: (value mod modulus, rounds in [1, r_max]) pairs.
+    """Raw generator draws: a read-only array of (rank, rounds) records.
 
-    Each draw takes enough 32-bit words for 64 guard bits beyond the modulus
-    width, so the reduction bias is far below observability, and one more
-    word for its rounds.  Only the recurrence runs in Python: it is
+    Each draw's rank (value mod modulus) takes enough 32-bit words for 64
+    guard bits beyond the modulus width, so the reduction bias is far below
+    observability, and its rounds one more word (mod r_max, plus 1, so at
+    most 2**32).  Each field has the narrowest dtype that holds it, object
+    past 64 bits.  Only the recurrence runs in Python: it is
     chaos.henon_sine_step with its constants hoisted (same floats), and it
     fills a block of draws at a time.  numpy turns each block into words
     with the same IEEE operations and reduces them by Horner's rule with
@@ -333,7 +340,8 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     mult = (1 << 32) % modulus
     dtype = np.int64 if max(modulus, r_max) < 1 << 31 else object
     xs = [0.0] * (min(count, _BLOCK) * stride)
-    out = []
+    fields = [("rank", np.min_scalar_type(modulus - 1)), ("rounds", np.min_scalar_type(min(r_max, 1 << 32)))]
+    out = np.empty(count, fields)
     for c0 in range(0, count, _BLOCK):
         steps = min(_BLOCK, count - c0) * stride
         for i in range(steps):
@@ -347,7 +355,9 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
         acc = np.zeros(len(w), dtype=dtype)
         for j in range(words):
             acc = (acc * mult + w[:, j]) % modulus
-        out.extend(zip(acc.tolist(), (w[:, words] % r_max + 1).tolist()))
+        out["rank"][c0 : c0 + len(w)] = acc
+        out["rounds"][c0 : c0 + len(w)] = w[:, words] % r_max + 1
+    out.flags.writeable = False
     return out
 
 
@@ -370,7 +380,7 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
         baker.count_partitions(key.n),
         key.r_max2,
         1 << (2 * key.k),
-    )
+    ).tolist()
     return KeySchedule(n=key.n, k=key.k, stage1=stage1, stage2=stage2)
 
 

@@ -8,6 +8,13 @@ from bakermic.brqmi import MultiImage
 from bakermic.cipher import make_key
 
 
+def stage1_array(pairs) -> np.ndarray:
+    """(rank, rounds) pairs as KeySchedule.stage1 holds them: a read-only structured array."""
+    out = np.array(pairs, dtype=[("rank", np.int64), ("rounds", np.int64)])
+    out.flags.writeable = False
+    return out
+
+
 def natural_pixels(n: int, count: int, seed: int = 0) -> np.ndarray:
     """Smooth synthetic grayscale images with strong adjacent correlation."""
     side = 1 << n

@@ -34,7 +34,7 @@ from bakermic.cipher import (
     write_key,
 )
 
-from conftest import natural_images, random_images
+from conftest import natural_images, random_images, stage1_array
 from oracles import key_int
 
 
@@ -107,6 +107,26 @@ def test_key_validation():
         dataclasses.replace(key, r_max1=0).validate()
     with pytest.raises(ValueError):
         dataclasses.replace(key, intensity_sum=5).validate()  # bit_count missing
+
+
+def test_key_refuses_more_than_32_images_or_bits(tmp_path):
+    # k=6 would need 64-bit keystream integers, past int64
+    for m_prime, depth in ((33, 8), (2, 33)):
+        with pytest.raises(ValueError, match=f"{m_prime} images of depth {depth} need k=6: .*at most 32 images of at most 32 bits"):
+            make_key(n=2, m_prime=m_prime, bit_depth=depth, rng=random.Random(1))
+    path = tmp_path / "k.key"
+    key = make_key(n=2, m_prime=32, bit_depth=32, rng=random.Random(1))
+    assert key.k == 5
+    write_key(key, path)
+    assert read_key(path) == key
+    text = path.read_text().replace("k = 5\n", "k = 6\n")
+    path.write_text(text.replace("depth = 32", "depth = 33"))
+    with pytest.raises(ValueError, match="32 images of depth 33 need k=6"):
+        read_key(path)
+    extra = "lambda1_32 = 4004000000000000\nlambda2_32 = 4004000000000000\nq_32 = 5\n"
+    path.write_text(text.replace("images = 32", "images = 33") + extra)
+    with pytest.raises(ValueError, match="33 images of depth 32 need k=6"):
+        read_key(path)
 
 
 def test_float_hex_roundtrip():
@@ -244,13 +264,35 @@ def test_derive_schedule_shape():
     sched = derive_schedule(key)
     assert len(sched.stage1) == 16  # one per pixel
     assert len(sched.stage2) == 16  # one per (image, plane) slot
-    for rank, rounds in sched.stage1:
+    for rank, rounds in sched.stage1.tolist():
         assert 0 <= rank < count_partitions(key.k)
         assert 1 <= rounds <= key.r_max1
     for rank, rounds in sched.stage2:
         assert 0 <= rank < count_partitions(key.n)
         assert 1 <= rounds <= key.r_max2
-    assert derive_schedule(key) == sched
+    again = derive_schedule(key)
+    assert (again.n, again.k, again.stage2) == (sched.n, sched.k, sched.stage2)
+    assert np.array_equal(again.stage1, sched.stage1)
+
+
+def test_schedule_format():
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(5))
+    sched = derive_schedule(key)
+    assert not sched.stage1.flags.writeable
+    assert sched.stage1.dtype["rank"] == np.uint8 and sched.stage1.dtype["rounds"] == np.uint8
+    codes, tables = sched.stage1_tables
+    assert codes.dtype == np.min_scalar_type(len(tables) - 1) == np.uint8
+    assert len(set(sched.stage1)) == len(tables)
+    assert all(type(rank) is int and type(rounds) is int for rank, rounds in sched.stage2)
+    with pytest.raises(ValueError, match="read-only"):
+        sched.stage1["rounds"][0] = 1
+    # rounds of up to 2**32 take uint64; equal codes still mean equal selections
+    wide = derive_schedule(dataclasses.replace(key, n=2, r_max1=2**64 - 1))
+    assert wide.stage1.dtype["rounds"] == np.uint64
+    pairs, codes = wide.stage1.tolist(), wide.stage1_tables[0].tolist()
+    first = {}
+    assert all(first.setdefault(code, pair) == pair for pair, code in zip(pairs, codes))
+    assert len(first) == len(set(pairs)) == len(wide.stage1_tables[1])
 
 
 def stepped_draws(params, modulus, r_max, count):
@@ -275,22 +317,23 @@ def stepped_draws(params, modulus, r_max, count):
 def test_draws_hoisted_step_is_exact(modulus):
     params = ScheduleParams(4.75, 2.125, -0.3, 0.6)
     count = 2 * cipher_module._BLOCK + 37  # two full blocks and a partial one
-    assert _draws(params, modulus, 5, count) == stepped_draws(params, modulus, 5, count)
+    assert _draws(params, modulus, 5, count).tolist() == stepped_draws(params, modulus, 5, count)
 
 
 @pytest.mark.parametrize("modulus", [26, 2**31 - 1, 2**31, 2**61 - 1, count_partitions(9), 10**40 + 7])
-@pytest.mark.parametrize("r_max", [1, 5])
+@pytest.mark.parametrize("r_max", [1, 5, 2**64 - 1])
 def test_draws_across_blocks_are_exact(monkeypatch, modulus, r_max):
     # Three full blocks and a partial one.  2**31 is the first modulus reduced
     # on Python ints instead of int64; at 2**61 - 1, int64 would overflow.
     monkeypatch.setattr(cipher_module, "_BLOCK", 16)
     params = ScheduleParams(3.5, 6.25, 0.45, -0.15)
-    assert _draws(params, modulus, r_max, 53) == stepped_draws(params, modulus, r_max, 53)
+    assert _draws(params, modulus, r_max, 53).tolist() == stepped_draws(params, modulus, r_max, 53)
 
 
 def test_derive_schedule_peak_memory_is_blocked():
-    # The 65536 stage-1 pairs at n=8 take about 4 MB; the stream's floats
-    # are held a block at a time (all at once, the peak is about 17 MB).
+    # The 65536 stage-1 selections at n=8 take 128 KB as a uint8 array (4 MB
+    # as a list of int tuples); the stream's floats are held a block at a
+    # time (all at once, the peak is about 17 MB).
     key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(5))
     tracemalloc.start()
     try:
@@ -298,13 +341,13 @@ def test_derive_schedule_peak_memory_is_blocked():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 6 * 2**20, f"peak {peak / 2**20:.1f} MB"
+    assert peak <= 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_schedule_depends_on_stage_seeds():
     key = fixed_small_key()
     moved = dataclasses.replace(key, stage_a=ScheduleParams(2.5, 3.25, 0.21, -0.7))
-    assert derive_schedule(moved).stage1 != derive_schedule(key).stage1
+    assert not np.array_equal(derive_schedule(moved).stage1, derive_schedule(key).stage1)
 
 
 def test_scramble_stage1_roundtrip_and_fibres():
@@ -334,7 +377,7 @@ def test_scramble_stage2_roundtrip_and_slices():
 def test_zero_rounds_is_identity():
     key = fixed_small_key()
     stack = decompose(random_images(n=2, count=2, seed=10, bit_depth=4))
-    idle = KeySchedule(n=2, k=2, stage1=[(1, 0)] * 16, stage2=[(1, 0)] * 16)
+    idle = KeySchedule(n=2, k=2, stage1=stage1_array([(1, 0)] * 16), stage2=[(1, 0)] * 16)
     assert np.array_equal(scramble_images_planes(stack, idle).bits, stack.bits)
     assert np.array_equal(scramble_positions(stack, idle).bits, stack.bits)
 

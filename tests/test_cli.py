@@ -255,6 +255,33 @@ def test_appendix_henon_refuses_a_nonfinite_lambda(tmp_path, capsys):
     assert all(abs(float(c)) <= 1 for row in rows[2:] for c in row.split(",")[1:])
 
 
+@pytest.mark.parametrize(
+    "lambdas, seed",
+    [
+        (("3", "3"), ("--x0", "1e154")),
+        (("3", "3"), ("--x0", "1e200")),
+        (("1e300", "3"), ("--x0", "0.5", "--y0", "1e300")),
+        (("0", "3"), ("--x0", "1e200")),  # 0 * -inf: a NaN argument, which math.sin does not refuse
+    ],
+)
+def test_appendix_henon_refuses_a_seed_whose_first_step_overflows(tmp_path, capsys, lambdas, seed):
+    orbit = tmp_path / "orbit.csv"
+    argv = ("appendix", "henon", "--lambda1", lambdas[0], "--lambda2", lambdas[1]) + seed
+    assert run(*argv, "--count", "3", "--out", str(orbit)) == 2
+    err = capsys.readouterr().err
+    assert f"lambda factors {float(lambdas[0])!r}, {float(lambdas[1])!r}" in err
+    assert "the first step's sine argument is not finite" in err
+    assert not orbit.exists()
+
+
+def test_appendix_henon_accepts_a_large_finite_first_step(tmp_path):
+    orbit = tmp_path / "orbit.csv"
+    assert run("appendix", "henon", "--lambda1", "3", "--lambda2", "3", "--x0", "1e100", "--count", "3", "--out", str(orbit)) == 0
+    rows = orbit.read_text().splitlines()
+    assert rows[1] == "0,1e+100,0.1"
+    assert all(abs(float(c)) <= 1 for row in rows[2:] for c in row.split(",")[1:])
+
+
 def test_stdout_output(capsys):
     assert run("circuit", "synth", "1,1") == 0
     assert "# n=1" in capsys.readouterr().out

@@ -30,6 +30,7 @@ from bakermic.cipher import (
     write_key,
 )
 
+from conftest import stage1_array
 from oracles import iterate
 
 # (n, M', depth): (ciphertext sha256, key file sha256)
@@ -119,14 +120,14 @@ def test_stages_match_scalar_oracle(n, k):
     sched = KeySchedule(
         n=n,
         k=k,
-        stage1=selections(k, side * side, r_max1, rng),
+        stage1=stage1_array(selections(k, side * side, r_max1, rng)),
         stage2=selections(n, s * s, r_max2, rng),
     )
     stack = random_stack(n, k, rng)
 
     fibres = stack.bits.reshape(s * s, side * side)
     want1 = np.empty_like(fibres)
-    for p, (rank, rounds) in enumerate(sched.stage1):
+    for p, (rank, rounds) in enumerate(sched.stage1.tolist()):
         want1[moved(k, rank, rounds), p] = fibres[:, p]
     out1 = scramble_images_planes(stack, sched)
     assert np.array_equal(out1.bits.reshape(s * s, side * side), want1)

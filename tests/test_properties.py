@@ -21,6 +21,8 @@ from bakermic.cipher import (
     scramble_positions,
 )
 
+from conftest import stage1_array
+
 # Every example draws a new key, so these also cycle the per-key cache.
 SETTINGS = settings(max_examples=100, deadline=None)
 
@@ -63,7 +65,7 @@ def test_zero_rounds_leave_both_stages_the_identity(case):
     sched = KeySchedule(
         n=n,
         k=k,
-        stage1=[(rng.randrange(count_partitions(k)), 0) for _ in range(1 << 2 * n)],
+        stage1=stage1_array([(rng.randrange(count_partitions(k)), 0) for _ in range(1 << 2 * n)]),
         stage2=[(rng.randrange(count_partitions(n)), 0) for _ in range(1 << 2 * k)],
     )
     for stage in (scramble_images_planes, inverse_scramble_images_planes, scramble_positions, inverse_scramble_positions):
