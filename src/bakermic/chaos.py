@@ -218,6 +218,9 @@ def seed_from_sums(
     denom = m_prime * ((1 << bit_depth) - 1) * (1 << (2 * n))
     if not 0 <= intensity_sum <= denom:
         raise ValueError("intensity sum out of range for the declared geometry")
+    bits = m_prime * bit_depth * (1 << (2 * n))
+    if not 0 <= bit_count <= bits:
+        raise ValueError(f"bit_count {bit_count} out of range [0, {bits}] for the declared geometry")
     x0 = intensity_sum / denom
     y0 = chebyshev(bit_count, x0)
     return SeedMaterial(intensity_sum=intensity_sum, bit_count=bit_count, x0=x0, y0=y0)

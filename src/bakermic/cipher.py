@@ -14,8 +14,8 @@ from __future__ import annotations
 import dataclasses
 import functools
 import math
+import re
 import struct
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,7 +62,8 @@ class SecretKey:
     """Complete key material; everything decryption needs besides ciphertext.
 
     intensity_sum and bit_count are filled in by encryption (they are exact
-    statistics of the plaintext) and must travel with the key.
+    statistics of the plaintext) and must travel with the key.  A key checks
+    itself when it is built, so every SecretKey the program holds is valid.
     """
 
     n: int
@@ -76,6 +77,9 @@ class SecretKey:
     r_max2: int
     intensity_sum: int | None = None
     bit_count: int | None = None
+
+    def __post_init__(self) -> None:
+        self.validate()
 
     def validate(self) -> None:
         if self.n < 0 or self.k < 0:
@@ -145,7 +149,7 @@ def make_key(
         ScheduleParams(lambda1=lam(None), lambda2=lam(None), x0=unit(), y0=unit())
         for _ in range(2)
     )
-    key = SecretKey(
+    return SecretKey(
         n=n,
         k=k,
         m_prime=m_prime,
@@ -156,8 +160,6 @@ def make_key(
         r_max1=r_max1 if r_max1 is not None else max(1, 2 * k),
         r_max2=r_max2 if r_max2 is not None else max(1, 2 * n),
     )
-    key.validate()
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -170,7 +172,7 @@ def float_to_hex(v: float) -> str:
 
 
 def hex_to_float(text: str) -> float:
-    if len(text) != 16:
+    if not re.fullmatch("[0-9a-fA-F]{16}", text):
         raise ValueError(f"expected 16 hex digits, got {text!r}")
     return struct.unpack("<d", struct.pack("<Q", int(text, 16)))[0]
 
@@ -181,7 +183,6 @@ def write_key(key: SecretKey, path) -> None:
     The write is atomic (brqmi.write_atomic), so a failed write leaves any
     old key intact.
     """
-    key.validate()
     lines = [
         f"version = {KEY_VERSION}",
         f"n = {key.n}",
@@ -225,7 +226,10 @@ def read_key(path) -> SecretKey:
     def take(name, parse=int):
         if name not in fields:
             raise ValueError(f"{path}: missing field {name!r}")
-        return parse(fields.pop(name))
+        try:
+            return parse(fields.pop(name))
+        except ValueError as exc:
+            raise ValueError(f"{path}: field {name!r}: {exc}") from None
 
     version = take("version")
     if version != KEY_VERSION:
@@ -260,7 +264,7 @@ def read_key(path) -> SecretKey:
         bits = take("bit_count")
     if fields:
         raise ValueError(f"{path}: unknown fields {sorted(fields)}")
-    key = SecretKey(
+    return SecretKey(
         n=n,
         k=k,
         m_prime=m_prime,
@@ -273,8 +277,6 @@ def read_key(path) -> SecretKey:
         intensity_sum=intensity,
         bit_count=bits,
     )
-    key.validate()
-    return key
 
 
 # ---------------------------------------------------------------------------
@@ -368,7 +370,6 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
     maps; both consume one continuous generator stream in row-major site
     order, so the schedule is reproducible from the key alone.
     """
-    key.validate()
     stage1 = _draws(
         key.stage_a,
         baker.count_partitions(key.k),
@@ -532,7 +533,7 @@ def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dic
     so all 2**k images get live keystream.  When stats is given,
     stats['xor_sites'] receives the number of sites actually touched.
     """
-    grids = _material(key).grids(seed)
+    grids = _grids(_bare(key), seed)
     s = stack.stack_side
     bits = _split_planes(np.stack([grids[m % key.m_prime] for m in range(s)]), s)
     np.bitwise_xor(bits, stack.bits, out=bits)
@@ -545,49 +546,29 @@ def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dic
 # Whole-pipeline entry points
 
 
-class _KeyMaterial:
-    """What one key determines, built on first use and shared by its passes.
-
-    Holds the key schedule (whose stage-1 tables are built on first use)
-    and the keystream grids of the two most recent plaintext seeds, which
-    is what analyze's pairs of P and flipped P need.  Stage-2 tables are not
-    kept: at n=9 they would take 67 MB.
-    """
-
-    def __init__(self, key: SecretKey):
-        self.key = key
-        self._grids: dict[tuple[int, int], list[np.ndarray]] = {}
-        self._lock = threading.Lock()  # passes in several threads share one entry
-
-    @functools.cached_property
-    def schedule(self) -> KeySchedule:
-        return derive_schedule(self.key)
-
-    def grids(self, seed: SeedMaterial) -> list[np.ndarray]:
-        """Keystream grid of each source image 0..M'-1, in that order."""
-        tag = (seed.intensity_sum, seed.bit_count)
-        with self._lock:
-            grids = self._grids.pop(tag, None)
-            if grids is None:
-                key = self.key
-                grids = [
-                    keystream_grid(image_rank_perms(key, seed, m), key.image_params[m].q, key.k)
-                    for m in range(key.m_prime)
-                ]
-            self._grids[tag] = grids
-            if len(self._grids) > 2:
-                del self._grids[next(iter(self._grids))]
-        return grids
+def _bare(key: SecretKey) -> SecretKey:
+    """key without its plaintext sums, which play no part in its schedule or grids."""
+    return dataclasses.replace(key, intensity_sum=None, bit_count=None)
 
 
-# One entry: a new key's material replaces the last key's before any of it
-# is derived, so two schedules never sit in memory together.
-_materials = functools.lru_cache(maxsize=1)(_KeyMaterial)
+# Passes under one key share what it determines.  The most recent key's
+# schedule is kept with its stage-1 tables (built on first use); a new key's
+# schedule replaces it once derived.  Stage-2 tables are not kept: at n=9
+# they would take 67 MB.  Threads may share both caches: lru_cache keeps its
+# entries consistent, but threads that miss together each derive the material.
 
 
-def _material(key: SecretKey) -> _KeyMaterial:
-    """The cached material of key; the plaintext sums play no part in it."""
-    return _materials(dataclasses.replace(key, intensity_sum=None, bit_count=None))
+@functools.lru_cache(maxsize=1)
+def _schedule(key: SecretKey) -> KeySchedule:
+    return derive_schedule(key)
+
+
+@functools.lru_cache(maxsize=2)  # analyze alternates P and flipped P
+def _grids(key: SecretKey, seed: SeedMaterial) -> tuple[np.ndarray, ...]:
+    """Keystream grid of each source image 0..M'-1, in that order."""
+    return tuple(
+        keystream_grid(image_rank_perms(key, seed, m), key.image_params[m].q, key.k) for m in range(key.m_prime)
+    )
 
 
 def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
@@ -598,16 +579,15 @@ def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
     stored, since decryption reseeds the keystream from it.  A key whose
     orbits degenerate for this plaintext is refused before any scrambling.
     """
-    key.validate()
     if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
         raise ValueError("key geometry does not match the image set")
     seed = derive_seed(images)
     key = dataclasses.replace(key, intensity_sum=seed.intensity_sum, bit_count=seed.bit_count)
-    material = _material(key)
-    material.grids(seed)  # orbits first: a degenerate key is refused before any scrambling
+    _grids(_bare(key), seed)  # orbits first: a degenerate key is refused before any scrambling
+    sched = _schedule(_bare(key))
     stack = decompose(images)
-    stack = scramble_images_planes(stack, material.schedule)
-    stack = scramble_positions(stack, material.schedule)
+    stack = scramble_images_planes(stack, sched)
+    stack = scramble_positions(stack, sched)
     stack = diffuse(stack, key, seed)
     return recompose_all(stack), key
 
@@ -620,7 +600,6 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     key or corrupted ciphertext, but the recovered images are still
     returned for inspection.
     """
-    key.validate()
     if key.intensity_sum is None:
         raise ValueError("key carries no plaintext statistics; encrypt first")
     s = 1 << key.k
@@ -628,7 +607,7 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
         raise ValueError("ciphertext geometry does not match the key")
     seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
     stack = diffuse(decompose(cipher), key, seed)
-    sched = _material(key).schedule
+    sched = _schedule(_bare(key))
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
     stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)

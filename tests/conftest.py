@@ -52,12 +52,18 @@ def random_images(n: int, count: int, seed: int = 0, bit_depth: int = 8) -> Mult
     return MultiImage(n=n, bit_depth=bit_depth, pixels=pixels)
 
 
+def forget_keys() -> None:
+    """Drop every cached key schedule and keystream grid."""
+    cipher._schedule.cache_clear()
+    cipher._grids.cache_clear()
+
+
 @pytest.fixture(autouse=True)
 def fresh_key_material():
     """Start every test with no cached key material, so counts do not depend on test order."""
-    cipher._materials.cache_clear()
+    forget_keys()
     yield
-    cipher._materials.cache_clear()
+    forget_keys()
 
 
 @pytest.fixture

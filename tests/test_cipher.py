@@ -3,6 +3,7 @@ import hashlib
 import math
 import os
 import random
+import re
 import tracemalloc
 
 import numpy as np
@@ -136,6 +137,11 @@ def test_float_hex_roundtrip():
     assert float_to_hex(-0.0) != float_to_hex(0.0)
     with pytest.raises(ValueError):
         hex_to_float("abc")
+    # int(text, 16) would take a sign, underscores or a 0x prefix: none is 16 hex digits
+    for bad in ("-000000000000001", "+3ff000000000000", "3ff0_00000000000", "0x3ff000000000000", " 3ff00000000000 "):
+        with pytest.raises(ValueError, match="expected 16 hex digits"):
+            hex_to_float(bad)
+    assert hex_to_float("3FF0000000000000") == hex_to_float("3ff0000000000000") == 1.0
 
 
 def test_key_file_roundtrip(tmp_path):
@@ -248,6 +254,12 @@ def test_key_file_strictness(tmp_path):
     bad.write_text("version 1\n")
     with pytest.raises(ValueError):
         read_key(bad)
+
+    # a field that does not parse is named, after the file
+    for field, value, why in (("lambda1_0", "-000000000000001", "expected 16 hex digits"), ("r_max1", "ten", "invalid literal")):
+        bad.write_text("".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field '{field}': {why}"):
+            read_key(bad)
 
 
 def test_key_file_comments_ok(tmp_path):
@@ -465,6 +477,14 @@ def test_degenerate_orbit_fails_fast(monkeypatch):
     assert info.value.image == 0 and info.value.cycled
     assert info.value.iterations < 1000  # the whole budget is 10**7
     assert work == []
+    # a refusal is not cached: the same plaintext is refused again, still before any work
+    with pytest.raises(DegenerateKeyError, match="for image 0"):
+        encrypt(MultiImage(n=8, bit_depth=8, pixels=pixels), key)
+    assert work == []
+    monkeypatch.undo()
+    ciphertext, seeded = encrypt(images, key)
+    back, stray = decrypt(ciphertext, seeded)
+    assert stray == 0 and np.array_equal(back.pixels, images.pixels)
 
 
 def test_encrypt_key_not_mutated():
@@ -472,6 +492,16 @@ def test_encrypt_key_not_mutated():
     images = random_images(n=2, count=2, seed=15, bit_depth=4)
     encrypt(images, key)
     assert key.intensity_sum is None  # a fresh key object is returned instead
+
+
+def test_decrypt_refuses_a_bit_count_outside_the_geometry():
+    # three 8x8 8-bit images hold at most 3 * 8 * 64 = 1536 set bits
+    ciphertext, seeded = encrypt(random_images(n=3, count=3, seed=17), make_key(3, 3, 8, random.Random(17)))
+    for bits in (99999999, 1537, -1):
+        with pytest.raises(ValueError, match=rf"^bit_count {bits} out of range \[0, 1536\]"):
+            decrypt(ciphertext, dataclasses.replace(seeded, bit_count=bits))
+    for bits in (0, 1536):  # the bounds themselves are a geometry's extremes, so they are accepted
+        decrypt(ciphertext, dataclasses.replace(seeded, bit_count=bits))
 
 
 def test_encrypt_geometry_mismatch():

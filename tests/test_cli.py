@@ -88,6 +88,44 @@ def test_decrypt_warns_on_wrong_key(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def _bad_field_cycle(tmp_path, field, value):
+    """Encrypt three 8x8 images, then set one field of the key file to value."""
+    plain, key = tmp_path / "plain.txt", tmp_path / "k.key"
+    save_multi(random_images(n=3, count=3, seed=28), plain)
+    write_key(make_key(3, 3, 8, random.Random(28)), key)
+    cipher = tmp_path / "c" / "set.txt"
+    cipher.parent.mkdir()
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(cipher)) == 0
+    lines = key.read_text().splitlines()
+    key.write_text("".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines))
+    return plain, key, cipher
+
+
+@pytest.mark.parametrize("value", ["-000000000000001", "+3ff000000000000", "3ff0_00000000000"])
+def test_malformed_key_real_exits_2(tmp_path, capsys, value):
+    plain, key, _ = _bad_field_cycle(tmp_path, "lambda1_0", value)
+    capsys.readouterr()
+    out = tmp_path / "again" / "set.txt"
+    out.parent.mkdir()
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: {key}: field 'lambda1_0': expected 16 hex digits, got '{value}'" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("bits", ["99999999", "-1"])
+def test_decrypt_refuses_an_impossible_bit_count(tmp_path, capsys, bits):
+    _, key, cipher = _bad_field_cycle(tmp_path, "bit_count", bits)
+    capsys.readouterr()
+    out = tmp_path / "o" / "set.txt"
+    out.parent.mkdir()
+    assert run("decrypt", "--in", str(cipher), "--key", str(key), "--out", str(out)) == 2
+    err = capsys.readouterr().err
+    assert f"error: bit_count {bits} out of range [0, 1536]" in err
+    assert "warning" not in err and not out.exists()
+
+
 def test_analyze_pair_mode(tmp_path):
     a = random_images(n=4, count=2, seed=25)
     b = random_images(n=4, count=2, seed=26)

@@ -11,9 +11,10 @@ import pytest
 
 from bakermic import analysis, cipher, cli
 from bakermic.brqmi import save_multi
+from bakermic.chaos import derive_seed
 from bakermic.cipher import decrypt, encrypt, make_key, write_key
 
-from conftest import natural_images, random_images
+from conftest import forget_keys, natural_images, random_images
 
 
 flipped = cli._flip_one_bit  # the bit analyze flips: pixel [0, 0, 0], bit 0
@@ -45,12 +46,13 @@ def test_prepared_passes_match_unprepared(n, m_prime):
     key = make_key(n, m_prime, 8, random.Random(seed))
     images = random_images(n, m_prime, seed=seed)
     c_fresh, k_fresh = encrypt(images, key)
-    cipher._materials.cache_clear()
+    forget_keys()
     d_fresh, stray_fresh = decrypt(c_fresh, k_fresh)
-    cipher._materials.cache_clear()
+    forget_keys()
     c_cached, k_cached = encrypt(images, key)
     d_cached, stray_cached = decrypt(c_cached, k_cached)
-    assert cipher._materials.cache_info().hits >= 2  # decrypt and its diffuse hit
+    assert cipher._schedule.cache_info()[:2] == (1, 1)  # decrypt hit encrypt's schedule
+    assert cipher._grids.cache_info()[:2] == (2, 1)  # both diffuses hit encrypt's grids
     assert k_cached == k_fresh
     assert np.array_equal(c_cached.pixels, c_fresh.pixels)
     assert stray_cached == stray_fresh == 0
@@ -73,44 +75,42 @@ def test_new_key_replaces_the_cached_one(monkeypatch):
     key_b = make_key(3, 3, 8, random.Random(5))
     images = random_images(3, 3, seed=4)
     encrypt(images, key_a)
-    material_a = weakref.ref(cipher._material(key_a))
-    assert material_a().schedule is not None
+    schedule_a = weakref.ref(cipher._schedule(cipher._bare(key_a)))
+    assert schedule_a() is not None
 
-    derive = cipher.derive_schedule
-    alive_at_derive = []
-
-    def derive_checked(key):
-        gc.collect()
-        alive_at_derive.append(material_a() is not None)
-        return derive(key)
-
-    monkeypatch.setattr(cipher, "derive_schedule", derive_checked)
+    counts = count_work(monkeypatch)
     ciphertext, seeded = encrypt(images, key_b)
-    assert alive_at_derive == [False]  # A's material went before B's schedule was derived
-    assert cipher._materials.cache_info().currsize == 1
+    gc.collect()
+    assert schedule_a() is None  # B's schedule replaced A's once B's encrypt returned
+    assert cipher._schedule.cache_info().currsize == 1
     assert np.array_equal(decrypt(ciphertext, seeded)[0].pixels, images.pixels)
-    assert alive_at_derive == [False]  # B's decrypt reused B's schedule
+    assert counts["schedules"] == 1  # B's decrypt reused B's schedule
 
 
-def test_one_prepared_keeps_seeds_apart():
-    # One key's material serves P and flipped P without mixing their grids,
-    # and keeps the grids of the two most recent plaintext seeds only.
+def test_one_prepared_keeps_seeds_apart(monkeypatch):
+    # One key serves P and flipped P without mixing their grids, and keeps
+    # the grids of the two most recently used plaintext seeds only.
     key = make_key(3, 3, 8, random.Random(8))
     images = random_images(3, 3, seed=8)
+    counts = count_work(monkeypatch)
     c1, k1 = encrypt(images, key)
     c2, k2 = encrypt(flipped(images), key)
-    held = cipher._material(key)._grids
-    assert set(held) == {(k1.intensity_sum, k1.bit_count), (k2.intensity_sum, k2.bit_count)}
-    assert all(len(grids) == 3 for grids in held.values())
-    assert all(g.dtype == np.uint8 for grids in held.values() for g in grids)  # 2**8 - 1 fits
+    assert counts["grids"] == 2 * 3
+    for plain in (images, flipped(images)):
+        grids = cipher._grids(cipher._bare(key), derive_seed(plain))
+        assert len(grids) == 3 and all(g.dtype == np.uint8 for g in grids)  # 2**8 - 1 fits
     assert np.array_equal(decrypt(c2, k2)[0].pixels, flipped(images).pixels)
     assert np.array_equal(decrypt(c1, k1)[0].pixels, images.pixels)
+    assert counts["grids"] == 2 * 3  # both seeds were still held
 
     third = random_images(3, 3, seed=9)
-    c3, k3 = encrypt(third, key)
-    held = cipher._material(key)._grids
-    assert set(held) == {(k1.intensity_sum, k1.bit_count), (k3.intensity_sum, k3.bit_count)}
-    cipher._materials.cache_clear()
+    c3, _ = encrypt(third, key)
+    assert counts["grids"] == 3 * 3
+    encrypt(images, key)
+    assert counts["grids"] == 3 * 3  # P, used last before third, is held
+    encrypt(flipped(images), key)
+    assert counts["grids"] == 4 * 3  # flipped P was evicted
+    forget_keys()
     assert np.array_equal(c1.pixels, encrypt(images, key)[0].pixels)
     assert np.array_equal(c2.pixels, encrypt(flipped(images), key)[0].pixels)
     assert np.array_equal(c3.pixels, encrypt(third, key)[0].pixels)
@@ -134,7 +134,7 @@ def test_analyze_equals_unprepared_passes(tmp_path, monkeypatch):
 
     # The same four passes, each from a cold cache.
     def cold(f, *args, **kwargs):
-        cipher._materials.cache_clear()
+        forget_keys()
         return f(*args, **kwargs)
 
     c1, k1 = cold(encrypt, plain, key)
