@@ -24,10 +24,6 @@ import numpy as np
 PGM_MAX_DEPTH = 16  # binary PGM samples hold at most 16 bits
 
 
-class PaddingError(ValueError):
-    """Raised when padding slots that must be zero carry data."""
-
-
 def _dtype_for_depth(bit_depth: int) -> np.dtype:
     """The narrowest unsigned dtype that holds bit_depth-bit values."""
     return np.min_scalar_type((1 << bit_depth) - 1)
@@ -164,17 +160,12 @@ def decompose(images: MultiImage) -> BitPlaneStack:
     )
 
 
-def recompose(stack: BitPlaneStack, check_padding: bool = True) -> MultiImage:
-    """Rebuild the m_prime source images from plane slices.
+def recompose(stack: BitPlaneStack) -> MultiImage:
+    """Rebuild the m_prime source images from their plane slices.
 
-    Raises PaddingError when check_padding is set and any padding slot holds
-    a one bit; that situation means the tensor no longer describes a plain
-    image set (typically a wrong-key decryption).
+    Padding slots are ignored; stack.padding_bit_count() counts any set bits
+    left there (after decryption, a sign of a wrong key).
     """
-    if check_padding:
-        stray = stack.padding_bit_count()
-        if stray:
-            raise PaddingError(f"{stray} set bits in padding slots")
     pixels = _join_planes(stack.bits[: stack.m_prime, : stack.bit_depth])
     return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=pixels)
 

@@ -177,6 +177,13 @@ def hex_to_float(text: str) -> float:
     return struct.unpack("<d", struct.pack("<Q", int(text, 16)))[0]
 
 
+def decimal_to_int(text: str) -> int:
+    """The integer write_key wrote: ASCII digits, no sign, underscore or leading zero."""
+    if not re.fullmatch("0|[1-9][0-9]*", text):
+        raise ValueError(f"expected a decimal integer without sign, underscore or leading zero, got {text!r}")
+    return int(text)
+
+
 def write_key(key: SecretKey, path) -> None:
     """Write the key file: UTF-8 'field = value' lines, reals as hex bits.
 
@@ -223,7 +230,7 @@ def read_key(path) -> SecretKey:
                 raise ValueError(f"{path}:{lineno}: duplicate field {name!r}")
             fields[name] = value.strip()
 
-    def take(name, parse=int):
+    def take(name, parse=decimal_to_int):
         if name not in fields:
             raise ValueError(f"{path}: missing field {name!r}")
         try:
@@ -291,6 +298,10 @@ class KeySchedule:
     rounds) array, one entry per pixel (2 bytes each at k=3: 512 KB at n=9),
     with partitions on the 2**k (image, plane) lattice.  stage2 has one pair of
     ints per (image, plane) slot, with partitions on the 2**n pixel lattice.
+
+    _permute asks for a stage's forward tables a lane chunk at a time, through
+    stage1_rows (pixels) or stage2_rows (slots); those two methods alone
+    decide which tables are kept and which are rebuilt.
     """
 
     n: int
@@ -311,6 +322,15 @@ class KeySchedule:
         keys, codes = np.unique(rank.astype(np.int64) * span + rounds.astype(np.int64), return_inverse=True)
         sels = [divmod(key, span) for key in keys.tolist()]
         return codes.astype(np.min_scalar_type(len(keys) - 1)), _tables(self.k, sels)
+
+    def stage1_rows(self, c0: int, c1: int) -> np.ndarray:
+        """Forward tables of pixels c0..c1-1, rows of stage1_tables."""
+        codes, tables = self.stage1_tables
+        return tables[codes[c0:c1]]
+
+    def stage2_rows(self, c0: int, c1: int) -> np.ndarray:
+        """Forward tables of slots c0..c1-1, built afresh on every call."""
+        return _tables(self.n, self.stage2[c0:c1])
 
 
 _BLOCK = 1024  # draws per block: the recurrence fills one block of floats, numpy reduces it
@@ -432,14 +452,17 @@ def _tables(n: int, sels: list[tuple[int, int]]) -> np.ndarray:
     return out
 
 
-def _permute(flat: np.ndarray, tables: np.ndarray, codes: np.ndarray, inverse: bool, axis: int) -> np.ndarray:
-    """Permute the C-contiguous 2-D array flat along `axis`, lane by lane.
+def _permute(stack: BitPlaneStack, rows, inverse: bool, axis: int) -> BitPlaneStack:
+    """Permute the bit tensor, viewed as (slot, pixel), along `axis`, lane by lane.
 
-    Each index along the other axis is a lane; lane j moves by the forward
-    table tables[codes[j]].  The forward direction scatters with it
-    (out[t[i]] = lane[i]), the inverse gathers (out[i] = lane[t[i]]).  Lanes
-    go in chunks of about _CHUNK index entries, and at least one lane.
+    Axis 0 moves each pixel's fibre (stage 1), axis 1 each slot's pixels
+    (stage 2).  Each index along the other axis is a lane, and rows(c0, c1)
+    returns the forward tables of lanes c0..c1-1.  The forward direction
+    scatters with a lane's table (out[t[i]] = lane[i]), the inverse gathers
+    (out[i] = lane[t[i]]).  Lanes go in chunks of about _CHUNK index
+    entries, and at least one lane.
     """
+    flat = stack.bits.reshape(stack.stack_side**2, -1)
     size, lanes = flat.shape[axis], flat.shape[1 - axis]
     pos_stride, lane_stride = (lanes, 1) if axis == 0 else (1, size)
     src = flat.ravel()
@@ -448,7 +471,7 @@ def _permute(flat: np.ndarray, tables: np.ndarray, codes: np.ndarray, inverse: b
     step = max(1, _CHUNK // size)
     for c0 in range(0, lanes, step):
         c1 = min(c0 + step, lanes)
-        lin = np.multiply(tables[codes[c0:c1]], pos_stride, dtype=np.intp)
+        lin = np.multiply(rows(c0, c1), pos_stride, dtype=np.intp)
         lin += np.arange(c0 * lane_stride, c1 * lane_stride, lane_stride)[:, None]
         if axis == 0:
             lin, block = lin.T, (slice(None), slice(c0, c1))
@@ -458,30 +481,6 @@ def _permute(flat: np.ndarray, tables: np.ndarray, codes: np.ndarray, inverse: b
             out[block] = src[lin]
         else:
             dst[lin] = flat[block]
-    return out
-
-
-def _fibres(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
-    """Stage 1 in either direction: one map per pixel over its (image, plane) fibre."""
-    codes, tables = sched.stage1_tables
-    flat = stack.bits.reshape(stack.stack_side**2, -1)
-    out = _permute(flat, tables, codes, inverse, axis=0)
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
-
-
-def _slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
-    """Stage 2 in either direction: one map per (image, plane) slice of pixels.
-
-    Tables are built a chunk of slices at a time, since all of them together
-    would take several times the memory of the stack.
-    """
-    flat = stack.bits.reshape(stack.stack_side**2, -1)
-    out = np.empty_like(flat)
-    step = max(1, _CHUNK // flat.shape[1])
-    for c0 in range(0, len(flat), step):
-        sels = sched.stage2[c0 : c0 + step]
-        codes = np.arange(len(sels))
-        out[c0 : c0 + step] = _permute(flat[c0 : c0 + step], _tables(stack.n, sels), codes, inverse, axis=1)
     return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
 
 
@@ -490,20 +489,20 @@ def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlane
 
     A rounds value of 0 leaves the fibre untouched (test hook).
     """
-    return _fibres(stack, sched, inverse=False)
+    return _permute(stack, sched.stage1_rows, inverse=False, axis=0)
 
 
 def inverse_scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
-    return _fibres(stack, sched, inverse=True)
+    return _permute(stack, sched.stage1_rows, inverse=True, axis=0)
 
 
 def scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
     """Stage 2: permute the pixel lattice of each (image, plane) slice."""
-    return _slices(stack, sched, inverse=False)
+    return _permute(stack, sched.stage2_rows, inverse=False, axis=1)
 
 
 def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
-    return _slices(stack, sched, inverse=True)
+    return _permute(stack, sched.stage2_rows, inverse=True, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -553,9 +552,10 @@ def _bare(key: SecretKey) -> SecretKey:
 
 # Passes under one key share what it determines.  The most recent key's
 # schedule is kept with its stage-1 tables (built on first use); a new key's
-# schedule replaces it once derived.  Stage-2 tables are not kept: at n=9
-# they would take 67 MB.  Threads may share both caches: lru_cache keeps its
-# entries consistent, but threads that miss together each derive the material.
+# schedule replaces it once derived.  Stage-2 tables are not kept but built
+# a lane chunk at a time on every pass: at n=9 all of them would take 67 MB.
+# Threads may share both caches: lru_cache keeps its entries consistent, but
+# threads that miss together each derive the material.
 
 
 @functools.lru_cache(maxsize=1)
@@ -611,4 +611,4 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
     stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)
-    return recompose(stack, check_padding=False), stack.padding_bit_count()
+    return recompose(stack), stack.padding_bit_count()

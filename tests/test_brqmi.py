@@ -4,7 +4,6 @@ import pytest
 from bakermic.brqmi import (
     BitPlaneStack,
     MultiImage,
-    PaddingError,
     decompose,
     load_multi,
     read_pgm,
@@ -109,7 +108,7 @@ def test_recompose_roundtrip():
     print("recompose roundtrip ok at depths 1..16")
 
 
-def test_recompose_rejects_stray_padding():
+def test_recompose_ignores_stray_padding():
     img = random_images(n=2, count=2, seed=3)
     stack = decompose(img)
     bits = stack.bits.copy()
@@ -121,11 +120,9 @@ def test_recompose_rejects_stray_padding():
         bit_depth=stack.bit_depth,
         bits=bits,
     )
-    with pytest.raises(PaddingError):
-        recompose(dirty)
-    # the escape hatch ignores the stray bit
-    back = recompose(dirty, check_padding=False)
+    back = recompose(dirty)
     assert np.array_equal(back.pixels, img.pixels)
+    assert dirty.padding_bit_count() == 1
 
 
 def test_recompose_all_full_stack():

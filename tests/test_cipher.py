@@ -37,6 +37,7 @@ from bakermic.cipher import (
 
 from conftest import natural_images, random_images, stage1_array
 from oracles import key_int
+from test_kat import KAT, kat_case
 
 
 def fixed_small_key(n=2, m_prime=2, bit_depth=4):
@@ -255,9 +256,17 @@ def test_key_file_strictness(tmp_path):
     with pytest.raises(ValueError):
         read_key(bad)
 
-    # a field that does not parse is named, after the file
-    for field, value, why in (("lambda1_0", "-000000000000001", "expected 16 hex digits"), ("r_max1", "ten", "invalid literal")):
-        bad.write_text("".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines))
+    # a field that does not parse is named, after the file; integers take only
+    # the form write_key writes, so int()'s signs, underscores, leading zeros
+    # and non-ASCII digits are refused
+    bad_fields = [("lambda1_0", "-000000000000001", "expected 16 hex digits"), ("r_max1", "ten", "expected a decimal integer")]
+    bad_fields += [("r_max1", value, "expected a decimal integer") for value in ("1_0", "+10", "0010", "\u0661\u0660")]
+    bad_fields += [("n", "0_3", "expected a decimal integer")]
+    for field, value, why in bad_fields:
+        bad.write_text(
+            "".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines),
+            encoding="utf-8",
+        )
         with pytest.raises(ValueError, match=f"^{re.escape(str(bad))}: field '{field}': {why}"):
             read_key(bad)
 
@@ -384,6 +393,26 @@ def test_scramble_stage2_roundtrip_and_slices():
     assert not np.array_equal(out.bits, stack.bits)
     back = inverse_scramble_positions(out, sched)
     assert np.array_equal(back.bits, stack.bits)
+
+
+@pytest.mark.parametrize("chunk", [1, 50])
+def test_chunk_size_never_changes_the_bytes(monkeypatch, tmp_path, chunk):
+    # chunks only split the work: every known answer holds when lanes and
+    # table powering go a few entries at a time
+    monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
+    cipher_module._schedule.cache_clear()  # rebuild the stage-1 tables in chunks too
+    path = tmp_path / "set.key"
+    for case, want in KAT.items():
+        key, plain = kat_case(*case)
+        cipher, updated = encrypt(plain, key)
+        write_key(updated, path)
+        got = (
+            hashlib.sha256(cipher.pixels.astype("<u4").tobytes()).hexdigest(),
+            hashlib.sha256(path.read_bytes()).hexdigest(),
+        )
+        assert got == want, case
+        back, stray = decrypt(cipher, updated)
+        assert stray == 0 and np.array_equal(back.pixels, plain.pixels), case
 
 
 def test_zero_rounds_is_identity():

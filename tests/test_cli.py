@@ -97,7 +97,10 @@ def _bad_field_cycle(tmp_path, field, value):
     cipher.parent.mkdir()
     assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(cipher)) == 0
     lines = key.read_text().splitlines()
-    key.write_text("".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines))
+    key.write_text(
+        "".join((f"{field} = {value}" if line.startswith(f"{field} =") else line) + "\n" for line in lines),
+        encoding="utf-8",
+    )
     return plain, key, cipher
 
 
@@ -114,16 +117,38 @@ def test_malformed_key_real_exits_2(tmp_path, capsys, value):
     assert not out.exists()
 
 
-@pytest.mark.parametrize("bits", ["99999999", "-1"])
-def test_decrypt_refuses_an_impossible_bit_count(tmp_path, capsys, bits):
+@pytest.mark.parametrize(
+    "bits, why",
+    [
+        pytest.param("99999999", "bit_count 99999999 out of range [0, 1536]", id="99999999"),
+        # a sign never reaches the range check: the key file refuses it first
+        pytest.param("-1", "{key}: field 'bit_count': expected a decimal integer", id="-1"),
+    ],
+)
+def test_decrypt_refuses_an_impossible_bit_count(tmp_path, capsys, bits, why):
     _, key, cipher = _bad_field_cycle(tmp_path, "bit_count", bits)
     capsys.readouterr()
     out = tmp_path / "o" / "set.txt"
     out.parent.mkdir()
     assert run("decrypt", "--in", str(cipher), "--key", str(key), "--out", str(out)) == 2
     err = capsys.readouterr().err
-    assert f"error: bit_count {bits} out of range [0, 1536]" in err
+    assert "error: " + why.format(key=key) in err
     assert "warning" not in err and not out.exists()
+
+
+@pytest.mark.parametrize(
+    "field, value", [("r_max1", "1_0"), ("r_max1", "+10"), ("r_max1", "0010"), ("r_max1", "\u0661\u0660"), ("n", "0_3")]
+)
+def test_noncanonical_key_integer_exits_2(tmp_path, capsys, field, value):
+    _, key, cipher = _bad_field_cycle(tmp_path, field, value)
+    capsys.readouterr()
+    out = tmp_path / "o" / "set.txt"
+    out.parent.mkdir()
+    assert run("decrypt", "--in", str(cipher), "--key", str(key), "--out", str(out)) == 2
+    captured = capsys.readouterr()
+    assert f"error: {key}: field '{field}': expected a decimal integer" in captured.err
+    assert "Traceback" not in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_analyze_pair_mode(tmp_path):
