@@ -301,7 +301,10 @@ class KeySchedule:
 
     _permute asks for a stage's forward tables a lane chunk at a time, through
     stage1_rows (pixels) or stage2_rows (slots); those two methods alone
-    decide which tables are kept and which are rebuilt.
+    decide which tables are kept and which are rebuilt.  Each returns a
+    fresh array, which _permute may overwrite: stage1_rows a gather from the
+    cached, read-only stage1_tables, stage2_rows intp tables built for the
+    call.
     """
 
     n: int
@@ -314,14 +317,18 @@ class KeySchedule:
         """(codes, tables): pixel p moves its fibre by tables[codes[p]].
 
         One powered table per distinct selection, built on first use and
-        kept for every later stage-1 pass under this schedule.
+        kept, read-only, for every later stage-1 pass under this schedule.
+        Both arrays use the narrowest unsigned type that holds their values.
         """
         rank, rounds = self.stage1["rank"], self.stage1["rounds"]
         span = int(rounds.max()) + 1
         # rank < C(5) = 458330 (k <= 5) and span <= 2**32 + 1, so keys stay below 2**51
         keys, codes = np.unique(rank.astype(np.int64) * span + rounds.astype(np.int64), return_inverse=True)
         sels = [divmod(key, span) for key in keys.tolist()]
-        return codes.astype(np.min_scalar_type(len(keys) - 1)), _tables(self.k, sels)
+        codes = codes.astype(np.min_scalar_type(len(keys) - 1))
+        tables = _tables(self.k, sels, np.min_scalar_type((1 << (2 * self.k)) - 1))
+        codes.flags.writeable = tables.flags.writeable = False
+        return codes, tables
 
     def stage1_rows(self, c0: int, c1: int) -> np.ndarray:
         """Forward tables of pixels c0..c1-1, rows of stage1_tables."""
@@ -329,7 +336,7 @@ class KeySchedule:
         return tables[codes[c0:c1]]
 
     def stage2_rows(self, c0: int, c1: int) -> np.ndarray:
-        """Forward tables of slots c0..c1-1, built afresh on every call."""
+        """Forward tables of slots c0..c1-1, built afresh in intp on every call."""
         return _tables(self.n, self.stage2[c0:c1])
 
 
@@ -412,43 +419,58 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
 _CHUNK = 1 << 15  # entries per index temporary: 256 KiB of intp, so gathers stay in cache
 
 
-def _power(base: np.ndarray, rounds: int) -> np.ndarray:
-    """Every row of base, a stack of forward tables, applied `rounds` times.
+def _power(flat: np.ndarray, rounds: int) -> np.ndarray:
+    """flat, a 1-D intp stack of forward tables, applied `rounds` times.
 
-    Repeated squaring on the flattened stack: adding each row's offset makes
-    every entry a flat index into the stack, so one 1-D gather composes all
-    rows at once.  Powers of one map commute, so the order is free.
+    Each row of the stack holds its own flat offset, so every entry indexes
+    the stack and one 1-D gather composes all rows at once.  Repeated
+    squaring starts from flat itself at the lowest set bit of rounds, so no
+    identity is composed; rounds 0 gives the identity.  Powers of one map
+    commute, so the order is free.  flat is never written, and the result
+    may be flat itself.
     """
-    rows, size = base.shape
-    offsets = np.arange(0, rows * size, size, dtype=np.intp)[:, None]
-    power = (base + offsets).ravel()
-    out = np.arange(rows * size, dtype=np.intp)
-    while rounds:
-        if rounds & 1:
-            out = power[out]
+    if not rounds:
+        return np.arange(flat.size, dtype=np.intp)
+    while not rounds & 1:
+        flat = flat[flat]
         rounds >>= 1
-        if rounds:
-            power = power[power]
-    return out.reshape(rows, size) - offsets
+    out = flat
+    rounds >>= 1
+    while rounds:
+        flat = flat[flat]
+        if rounds & 1:
+            out = flat[out]
+        rounds >>= 1
+    return out
 
 
-def _tables(n: int, sels: list[tuple[int, int]]) -> np.ndarray:
+def _tables(n: int, sels: list[tuple[int, int]], dtype=np.intp) -> np.ndarray:
     """Forward tables, row i being unrank(n, rank_i) applied rounds_i times.
 
-    Rows sharing a rounds value are powered together, a chunk at a time.
-    The result uses the narrowest unsigned type that holds a lattice index.
+    One base table is built per distinct rank.  Rows sharing a rounds value
+    are powered together, a chunk at a time, and stored as dtype in a fresh
+    array: intp for stage 2, whose tables go straight to _permute, and the
+    narrowest unsigned type for the stage-1 tables a schedule keeps.
     """
+    if len(sels) == 1:  # one lane per chunk (stage 2 from n = 8): power the base itself, with no stack or copy
+        ((rank, r),) = sels
+        return _power(baker.permutation_table(baker.unrank(n, rank)), r)[None].astype(dtype, copy=False)
     ranks = dict.fromkeys(rank for rank, _ in sels)
     bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in ranks}
     size = 1 << (2 * n)
-    out = np.empty((len(sels), size), dtype=np.min_scalar_type(size - 1))
+    out = np.empty((len(sels), size), dtype=dtype)
     rounds = np.array([r for _, r in sels], dtype=np.int64)
     step = max(1, _CHUNK // size)
     for r in np.unique(rounds):
         same = np.flatnonzero(rounds == r)
         for c0 in range(0, same.size, step):
             rows = same[c0 : c0 + step]
-            out[rows] = _power(np.stack([bases[sels[i][0]] for i in rows]), int(r))
+            offsets = np.arange(0, rows.size * size, size, dtype=np.intp)[:, None]
+            flat = np.stack([bases[sels[i][0]] for i in rows])
+            flat += offsets
+            powered = _power(flat.ravel(), int(r)).reshape(flat.shape)
+            powered -= offsets
+            out[rows] = powered
     return out
 
 
@@ -457,25 +479,28 @@ def _permute(stack: BitPlaneStack, rows, inverse: bool, axis: int) -> BitPlaneSt
 
     Axis 0 moves each pixel's fibre (stage 1), axis 1 each slot's pixels
     (stage 2).  Each index along the other axis is a lane, and rows(c0, c1)
-    returns the forward tables of lanes c0..c1-1.  The forward direction
+    returns the forward tables of lanes c0..c1-1 as a fresh array, which
+    _permute may overwrite: along axis 1 it adds the lane offsets in place,
+    so those tables must be intp.  The forward direction
     scatters with a lane's table (out[t[i]] = lane[i]), the inverse gathers
     (out[i] = lane[t[i]]).  Lanes go in chunks of about _CHUNK index
     entries, and at least one lane.
     """
     flat = stack.bits.reshape(stack.stack_side**2, -1)
     size, lanes = flat.shape[axis], flat.shape[1 - axis]
-    pos_stride, lane_stride = (lanes, 1) if axis == 0 else (1, size)
     src = flat.ravel()
     out = np.empty_like(flat)
     dst = out.ravel()
     step = max(1, _CHUNK // size)
     for c0 in range(0, lanes, step):
         c1 = min(c0 + step, lanes)
-        lin = np.multiply(rows(c0, c1), pos_stride, dtype=np.intp)
-        lin += np.arange(c0 * lane_stride, c1 * lane_stride, lane_stride)[:, None]
+        lin = rows(c0, c1)
         if axis == 0:
+            lin = np.multiply(lin, lanes, dtype=np.intp)
+            lin += np.arange(c0, c1)[:, None]
             lin, block = lin.T, (slice(None), slice(c0, c1))
         else:
+            lin += np.arange(c0 * size, c1 * size, size)[:, None]
             block = slice(c0, c1)
         if inverse:
             out[block] = src[lin]
@@ -553,7 +578,8 @@ def _bare(key: SecretKey) -> SecretKey:
 # Passes under one key share what it determines.  The most recent key's
 # schedule is kept with its stage-1 tables (built on first use); a new key's
 # schedule replaces it once derived.  Stage-2 tables are not kept but built
-# a lane chunk at a time on every pass: at n=9 all of them would take 67 MB.
+# a lane chunk at a time on every pass: all of them would take 8 MB even in
+# uint16 at n=7 with 16 images or at n=8 with 3, and 67 MB at n=9.
 # Threads may share both caches: lru_cache keeps its entries consistent, but
 # threads that miss together each derive the material.
 

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bakermic import cipher as cipher_module
-from bakermic.baker import count_partitions
+from bakermic.baker import count_partitions, permutation_table, unrank
 from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
 from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step
 from bakermic.cipher import (
@@ -18,6 +18,7 @@ from bakermic.cipher import (
     KeySchedule,
     ScheduleParams,
     _draws,
+    _tables,
     SecretKey,
     decrypt,
     derive_schedule,
@@ -421,6 +422,57 @@ def test_zero_rounds_is_identity():
     idle = KeySchedule(n=2, k=2, stage1=stage1_array([(1, 0)] * 16), stage2=[(1, 0)] * 16)
     assert np.array_equal(scramble_images_planes(stack, idle).bits, stack.bits)
     assert np.array_equal(scramble_positions(stack, idle).bits, stack.bits)
+
+
+def scatter(values, table, times=1):
+    """values moved `times` times by the forward table: out[table[i]] = values[i]."""
+    for _ in range(times):
+        moved = np.empty_like(values)
+        moved[table] = values
+        values = moved
+    return values
+
+
+@pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
+    # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
+    # in the intp of stage 2 and the narrow type of the stage-1 tables;
+    # each selection alone takes the one-table path
+    monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
+    rng = random.Random(n)
+    rounds = list(range(2 * n + 2)) * 2
+    rng.shuffle(rounds)
+    ranks = [rng.randrange(count_partitions(n)) for _ in range(3)]
+    sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
+    size = 1 << (2 * n)
+    for dtype in (np.intp, np.min_scalar_type(size - 1)):
+        tables = _tables(n, sels, dtype)
+        assert tables.dtype == dtype and tables.shape == (len(sels), size)
+        for (rank, r), row in zip(sels, tables):
+            base = permutation_table(unrank(n, rank))
+            assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, r)), (rank, r)
+            (alone,) = _tables(n, [(rank, r)], dtype)
+            assert alone.dtype == dtype and np.array_equal(alone, row), (rank, r)
+
+
+def test_stage1_tables_are_read_only():
+    # _permute writes into what stage1_rows hands it; the cached tables
+    # under the key must come through encrypt and decrypt unchanged
+    key = fixed_small_key()
+    plain = random_images(n=2, count=2, seed=12, bit_depth=4)
+    sched = cipher_module._schedule(cipher_module._bare(key))
+    codes, tables = sched.stage1_tables
+    before = codes.copy(), tables.copy()
+    cipher, updated = encrypt(plain, key)
+    back, stray = decrypt(cipher, updated)
+    assert stray == 0 and np.array_equal(back.pixels, plain.pixels)
+    assert cipher_module._schedule(cipher_module._bare(updated)) is sched
+    assert np.array_equal(codes, before[0]) and np.array_equal(tables, before[1])
+    assert sched.stage1_rows(0, 4).flags.writeable
+    for array in (codes, tables):
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
 
 
 def test_stage_order_matters():
