@@ -12,6 +12,7 @@ entries near a rounding midpoint to chebyshev.  Neither calls libm.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -258,49 +259,59 @@ class DegenerateKeyError(RuntimeError):
         )
 
 
-def distinct_sequence(
-    seed: tuple[float, float],
-    p: HenonSineParams,
-    count: int,
-    max_iterations: int = 10_000_000,
-) -> tuple[list[float], list[float]]:
+_MAX_ITERATIONS = 10_000_000  # distinct_sequence's backstop behind Brent's test
+
+
+def henon_orbit(seed: tuple[float, float], p: HenonSineParams, block: int):
+    """Yield the orbit after a 100-step burn-in as two lists (xs, ys) of `block` states.
+
+    The one copy of the cipher's recurrence, henon_sine_step with its constants
+    hoisted (same floats).  Every next() refills the same two lists in place.
+    """
+    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
+    x, y = seed
+    xs, ys = [0.0] * 100, [0.0] * 100  # the first fill is the burn-in, and is not yielded
+    for fill in itertools.count():
+        for i in range(len(xs)):
+            x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
+            xs[i], ys[i] = x, y
+        if fill:
+            yield xs, ys
+        else:
+            xs, ys = [0.0] * block, [0.0] * block
+
+
+def distinct_sequence(seed: tuple[float, float], p: HenonSineParams, count: int) -> tuple[list[float], list[float]]:
     """Collect the first `count` distinct orbit values on each coordinate.
 
-    Runs a 100-step burn-in, then records x and y values independently in
-    order of first appearance (value equality, so ranks are well defined).
-    Raises DegenerateKeyError if the orbit fails to produce enough distinct
-    values, which flags a degenerate parameter choice.  Brent's cycle test
-    on the exact (x, y) state stops the search as soon as the orbit repeats,
-    since no new value can appear after that; max_iterations is a backstop.
-    The step is henon_sine_step with its constants hoisted (same floats).
+    Walks henon_orbit a block of `count` states at a time and records x and
+    y values independently in order of first appearance (value equality, so
+    ranks are well defined).  Raises DegenerateKeyError if the orbit fails
+    to produce enough distinct values, which flags a degenerate parameter
+    choice.  Brent's cycle test on the exact (x, y) state, from the first
+    state after burn-in, stops the search as soon as the orbit repeats,
+    since no new value can appear after that; _MAX_ITERATIONS is a backstop.
     """
     if count < 1:
         raise ValueError("count must be positive")
-    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
-    x, y = seed
-    for _ in range(100):
-        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-    xs: list[float] = []
-    ys: list[float] = []
-    seen_x: set[float] = set()
-    seen_y: set[float] = set()
-    # Brent: compare each state with one saved at the last power-of-two step
-    saved_x, saved_y, save_at = x, y, 1
-    for it in range(1, max_iterations + 1):
-        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-        if len(xs) < count and x not in seen_x:
-            seen_x.add(x)
-            xs.append(x)
-        if len(ys) < count and y not in seen_y:
-            seen_y.add(y)
-            ys.append(y)
-        if len(xs) == count and len(ys) == count:
-            return xs, ys
+    # dicts keep their keys in order of first insertion: the values in order of first appearance
+    seen_x: dict[float, None] = {}
+    seen_y: dict[float, None] = {}
+    states = (s for block in henon_orbit(seed, p, count) for s in zip(*block))
+    # Brent: compare each state with one saved at the last power-of-two step (NaN: none yet)
+    saved_x, saved_y, save_at = math.nan, math.nan, 1
+    for it, (x, y) in enumerate(itertools.islice(states, _MAX_ITERATIONS), start=1):
+        if len(seen_x) < count:
+            seen_x[x] = None
+        if len(seen_y) < count:
+            seen_y[y] = None
+        if len(seen_x) == count and len(seen_y) == count:
+            return list(seen_x), list(seen_y)
         if x == saved_x and y == saved_y:
-            raise DegenerateKeyError(count, (len(xs), len(ys)), it, cycled=True)
+            raise DegenerateKeyError(count, (len(seen_x), len(seen_y)), it, cycled=True)
         if it == save_at:
             saved_x, saved_y, save_at = x, y, 2 * save_at
-    raise DegenerateKeyError(count, (len(xs), len(ys)), max_iterations, cycled=False)
+    raise DegenerateKeyError(count, (len(seen_x), len(seen_y)), _MAX_ITERATIONS, cycled=False)
 
 
 @dataclass(frozen=True)
@@ -413,10 +424,9 @@ def henon_sine_lyapunov(
         if norm == 0.0:
             # tangent collapsed; restart the direction without counting growth
             vx, vy = 1.0, 0.0
-            x, y = henon_sine_step(x, y, p)
-            continue
-        total += math.log(norm)
-        vx, vy = jvx / norm, jvy / norm
+        else:
+            total += math.log(norm)
+            vx, vy = jvx / norm, jvy / norm
         x, y = henon_sine_step(x, y, p)
     return total / iterations
 

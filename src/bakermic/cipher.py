@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import dataclasses
 import functools
-import math
 import re
 import struct
 from dataclasses import dataclass
@@ -30,6 +29,7 @@ from .chaos import (
     SeedMaterial,
     derive_seed,
     distinct_sequence,
+    henon_orbit,
     keystream_grid,
     rank_perms,
     seed_from_sums,
@@ -350,34 +350,23 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     guard bits beyond the modulus width, so the reduction bias is far below
     observability, and its rounds one more word (mod r_max, plus 1, so at
     most 2**32).  Each field has the narrowest dtype that holds it, object
-    past 64 bits.  Only the recurrence runs in Python: it is
-    chaos.henon_sine_step with its constants hoisted (same floats), and it
-    fills a block of draws at a time.  numpy turns each block into words
+    past 64 bits.  Only the recurrence runs in Python, in chaos.henon_orbit,
+    which fills a block of draws at a time.  numpy turns each block into words
     with the same IEEE operations and reduces them by Horner's rule with
     2**32 % modulus, in int64 when no intermediate can overflow it and on
     Python ints otherwise.
     """
-    p = HenonSineParams(params.lambda1, params.lambda2)
-    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
-    x, y = params.x0, params.y0
-    for _ in range(100):
-        t = sin(pl2 * (b * x))
-        x = sin(pl1 * (1.0 - a * x * x + y))
-        y = t
     words = (modulus.bit_length() + 64 + 31) // 32
     stride = words + 1
     mult = (1 << 32) % modulus
     dtype = np.int64 if max(modulus, r_max) < 1 << 31 else object
-    xs = [0.0] * (min(count, _BLOCK) * stride)
+    p = HenonSineParams(params.lambda1, params.lambda2)
+    orbit = henon_orbit((params.x0, params.y0), p, min(count, _BLOCK) * stride)
     fields = [("rank", np.min_scalar_type(modulus - 1)), ("rounds", np.min_scalar_type(min(r_max, 1 << 32)))]
     out = np.empty(count, fields)
     for c0 in range(0, count, _BLOCK):
         steps = min(_BLOCK, count - c0) * stride
-        for i in range(steps):
-            t = sin(pl2 * (b * x))
-            x = sin(pl1 * (1.0 - a * x * x + y))
-            y = t
-            xs[i] = x
+        xs, _ = next(orbit)
         # scaled is >= 0, so int64 truncation is int(); x = 1.0 clamps to the top word
         scaled = (np.fromiter(xs, np.float64, steps) + 1.0) * 0.5 * 4294967296.0
         w = np.minimum(scaled, 4294967295.0).astype(np.int64).astype(dtype, copy=False).reshape(-1, stride)

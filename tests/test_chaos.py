@@ -1,5 +1,7 @@
+import ast
 import math
 import random
+from pathlib import Path
 
 import mpmath
 import numpy as np
@@ -16,6 +18,7 @@ from bakermic.chaos import (
     distinct_sequence,
     emit_chebyshev_table,
     emit_trajectory,
+    henon_orbit,
     henon_sine_lyapunov,
     henon_sine_step,
     keystream_grid,
@@ -246,7 +249,7 @@ def test_distinct_sequence_regression():
     assert ys == PINNED_YS
 
 
-def test_distinct_sequence_properties():
+def test_distinct_sequence_properties(monkeypatch):
     p = HenonSineParams(3.3, 2.9)
     xs, ys = distinct_sequence((0.2, 0.1), p, count=16)
     assert len(xs) == 16 and len(ys) == 16
@@ -255,8 +258,9 @@ def test_distinct_sequence_properties():
     assert (xs, ys) == again
     with pytest.raises(ValueError):
         distinct_sequence((0.2, 0.1), p, count=0)
+    monkeypatch.setattr(chaos, "_MAX_ITERATIONS", 10)
     with pytest.raises(RuntimeError):
-        distinct_sequence((0.2, 0.1), p, count=1000, max_iterations=10)
+        distinct_sequence((0.2, 0.1), p, count=1000)
 
 
 def stepped_distinct_sequence(seed, p, count):
@@ -280,7 +284,7 @@ def test_distinct_sequence_hoisted_step_is_exact(lambdas):
     assert distinct_sequence((0.37, -0.81), p, count=128) == stepped_distinct_sequence((0.37, -0.81), p, 128)
 
 
-def test_degenerate_orbit_fails_at_its_cycle():
+def test_degenerate_orbit_fails_at_its_cycle(monkeypatch):
     p = HenonSineParams(1.1, 1.05)  # falls onto a short cycle within a few steps
     with pytest.raises(DegenerateKeyError, match="^orbit produced fewer than 16 distinct values") as info:
         distinct_sequence((0.5, 0.5), p, count=16)
@@ -288,9 +292,50 @@ def test_degenerate_orbit_fails_at_its_cycle():
     assert err.cycled and err.count == 16 and err.image is None
     assert err.found == (2, 2) and err.iterations < 10
     # the budget backstop reports the same shortfall, without a cycle seen
+    monkeypatch.setattr(chaos, "_MAX_ITERATIONS", 10)
     with pytest.raises(DegenerateKeyError) as info:
-        distinct_sequence((0.2, 0.1), HenonSineParams(3.3, 2.9), count=1000, max_iterations=10)
+        distinct_sequence((0.2, 0.1), HenonSineParams(3.3, 2.9), count=1000)
     assert not info.value.cycled and info.value.iterations == 10 and info.value.found == (10, 10)
+
+
+@pytest.mark.parametrize("block", [1, 7, 100])
+def test_henon_orbit_blocks_join_into_the_stepped_orbit(block):
+    p = HenonSineParams(3.3, 2.9)
+    x, y = 0.37, -0.81
+    for _ in range(100):
+        x, y = henon_sine_step(x, y, p)
+    stepped = []
+    for _ in range(3 * block):
+        x, y = henon_sine_step(x, y, p)
+        stepped.append((x, y))
+    orbit = henon_orbit((0.37, -0.81), p, block)
+    joined = []
+    for _ in range(3):
+        xs, ys = next(orbit)
+        assert len(xs) == len(ys) == block
+        joined += zip(xs, ys)
+    assert joined == stepped
+
+
+def test_only_chaos_names_sin():
+    # math.sin is the one platform-dependent function the cipher calls, so it
+    # stays behind chaos.henon_orbit (and the scalar henon_sine_step)
+    offenders = []
+    for path in sorted(Path(chaos.__file__).parent.glob("*.py")):
+        if path.name == "chaos.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            if isinstance(node, ast.Attribute):
+                names = {node.attr}
+            elif isinstance(node, ast.Name):
+                names = {node.id}
+            elif isinstance(node, ast.alias):
+                names = {node.name, node.asname}
+            else:
+                continue
+            if "sin" in names:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_rank_perms():
@@ -408,6 +453,13 @@ def test_henon_sine_lyapunov_positive():
     for lam in (2.0, 5.0, 50.0):
         value = henon_sine_lyapunov(HenonSineParams(lam, lam))
         assert value > 0.0, lam
+
+
+@pytest.mark.parametrize(
+    "lam, value", [(2.0, 1.6030933180687348), (5.0, 2.4659631486611118), (50.0, 4.751490907973491)]
+)
+def test_henon_sine_lyapunov_pinned(lam, value):
+    assert henon_sine_lyapunov(HenonSineParams(lam, lam)) == value
 
 
 def test_emit_trajectory():

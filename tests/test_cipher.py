@@ -556,7 +556,7 @@ def test_degenerate_orbit_fails_fast(monkeypatch):
     with pytest.raises(DegenerateKeyError, match="^orbit produced fewer than 256 distinct values for image 0") as info:
         encrypt(MultiImage(n=8, bit_depth=8, pixels=pixels), key)
     assert info.value.image == 0 and info.value.cycled
-    assert info.value.iterations < 1000  # the whole budget is 10**7
+    assert info.value.iterations == 258  # past the first 256-state block; the whole budget is 10**7
     assert work == []
     # a refusal is not cached: the same plaintext is refused again, still before any work
     with pytest.raises(DegenerateKeyError, match="for image 0"):
