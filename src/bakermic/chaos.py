@@ -22,18 +22,22 @@ from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_neare
 from .brqmi import MultiImage, _dtype_for_depth, _split_planes
 
 
+# Fixed quadratic and shear coefficients of the sine-wrapped Henon step.
+HENON_A = 1.4
+HENON_B = 0.3
+
+
 @dataclass(frozen=True)
 class HenonSineParams:
     """Control parameters of the sine-wrapped Henon step.
 
-    The quadratic and shear coefficients are fixed; the lambda factors are
-    key material and should exceed 1 to keep the orbit chaotic.
+    The quadratic and shear coefficients are the fixed HENON_A and HENON_B;
+    the lambda factors are key material and should exceed 1 to keep the
+    orbit chaotic.
     """
 
     lambda1: float
     lambda2: float
-    a: float = 1.4
-    b: float = 0.3
 
     def check_finite(self) -> None:
         """Refuse a lambda for which 2 * pi * lambda is not finite (nan, inf, or too large).
@@ -55,8 +59,8 @@ class HenonSineParams:
 
 def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, float]:
     """One step of the sine-wrapped Henon map; output stays in [-1, 1]^2."""
-    x2 = math.sin(math.pi * p.lambda1 * (1.0 - p.a * x * x + y))
-    y2 = math.sin(math.pi * p.lambda2 * (p.b * x))
+    x2 = math.sin(math.pi * p.lambda1 * (1.0 - HENON_A * x * x + y))
+    y2 = math.sin(math.pi * p.lambda2 * (HENON_B * x))
     return x2, y2
 
 
@@ -268,7 +272,7 @@ def henon_orbit(seed: tuple[float, float], p: HenonSineParams, block: int):
     The one copy of the cipher's recurrence, henon_sine_step with its constants
     hoisted (same floats).  Every next() refills the same two lists in place.
     """
-    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, p.a, p.b, math.sin
+    pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, HENON_A, HENON_B, math.sin
     x, y = seed
     xs, ys = [0.0] * 100, [0.0] * 100  # the first fill is the burn-in, and is not yielded
     for fill in itertools.count():
@@ -415,11 +419,11 @@ def henon_sine_lyapunov(
     vx, vy = 1.0, 0.0
     total = 0.0
     for _ in range(iterations):
-        u = 1.0 - p.a * x * x + y
+        u = 1.0 - HENON_A * x * x + y
         c1 = math.cos(math.pi * p.lambda1 * u) * math.pi * p.lambda1
-        c2 = math.cos(math.pi * p.lambda2 * (p.b * x)) * math.pi * p.lambda2
-        jvx = c1 * (-2.0 * p.a * x) * vx + c1 * vy
-        jvy = c2 * p.b * vx
+        c2 = math.cos(math.pi * p.lambda2 * (HENON_B * x)) * math.pi * p.lambda2
+        jvx = c1 * (-2.0 * HENON_A * x) * vx + c1 * vy
+        jvy = c2 * HENON_B * vx
         norm = math.hypot(jvx, jvy)
         if norm == 0.0:
             # tangent collapsed; restart the direction without counting growth
@@ -452,7 +456,7 @@ def emit_trajectory(
         raise ValueError(f"seed {seed[0]!r}, {seed[1]!r} is not finite")
     p.check_finite()
     x, y = seed
-    first = (math.pi * p.lambda1 * (1.0 - p.a * x * x + y), math.pi * p.lambda2 * (p.b * x))
+    first = (math.pi * p.lambda1 * (1.0 - HENON_A * x * x + y), math.pi * p.lambda2 * (HENON_B * x))
     if not all(math.isfinite(arg) for arg in first):
         raise ValueError(
             f"seed {x!r}, {y!r} with lambda factors {p.lambda1!r}, {p.lambda2!r}: "

@@ -304,7 +304,8 @@ class KeySchedule:
     decide which tables are kept and which are rebuilt.  Each returns a
     fresh array, which _permute may overwrite: stage1_rows a gather from the
     cached, read-only stage1_tables, stage2_rows intp tables built for the
-    call.
+    call.  Both build their tables with _tables, which powers each table on
+    its own.
     """
 
     n: int
@@ -408,27 +409,25 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
 _CHUNK = 1 << 15  # entries per index temporary: 256 KiB of intp, so gathers stay in cache
 
 
-def _power(flat: np.ndarray, rounds: int) -> np.ndarray:
-    """flat, a 1-D intp stack of forward tables, applied `rounds` times.
+def _power(table: np.ndarray, rounds: int) -> np.ndarray:
+    """table, a 1-D intp forward table, applied `rounds` times.
 
-    Each row of the stack holds its own flat offset, so every entry indexes
-    the stack and one 1-D gather composes all rows at once.  Repeated
-    squaring starts from flat itself at the lowest set bit of rounds, so no
-    identity is composed; rounds 0 gives the identity.  Powers of one map
-    commute, so the order is free.  flat is never written, and the result
-    may be flat itself.
+    Repeated squaring starts from table itself at the lowest set bit of
+    rounds, so no identity is composed; rounds 0 gives the identity.  Powers
+    of one map commute, so the order is free.  table is never written, and
+    the result may be table itself.
     """
     if not rounds:
-        return np.arange(flat.size, dtype=np.intp)
+        return np.arange(table.size, dtype=np.intp)
     while not rounds & 1:
-        flat = flat[flat]
+        table = table[table]
         rounds >>= 1
-    out = flat
+    out = table
     rounds >>= 1
     while rounds:
-        flat = flat[flat]
+        table = table[table]
         if rounds & 1:
-            out = flat[out]
+            out = table[out]
         rounds >>= 1
     return out
 
@@ -436,30 +435,20 @@ def _power(flat: np.ndarray, rounds: int) -> np.ndarray:
 def _tables(n: int, sels: list[tuple[int, int]], dtype=np.intp) -> np.ndarray:
     """Forward tables, row i being unrank(n, rank_i) applied rounds_i times.
 
-    One base table is built per distinct rank.  Rows sharing a rounds value
-    are powered together, a chunk at a time, and stored as dtype in a fresh
-    array: intp for stage 2, whose tables go straight to _permute, and the
-    narrowest unsigned type for the stage-1 tables a schedule keeps.
+    One base table is built per distinct rank, and each row is powered on its
+    own and stored as dtype: intp for stage 2, whose tables go straight to
+    _permute, and the narrowest unsigned type for the stage-1 tables a
+    schedule keeps.  A single row (one stage-2 lane per chunk, from n = 8) is
+    the powered table itself, with no copy into a fresh array: the copy made
+    n = 8 stage 2 about a tenth slower.
     """
-    if len(sels) == 1:  # one lane per chunk (stage 2 from n = 8): power the base itself, with no stack or copy
+    if len(sels) == 1:  # no dict holds this base, so _power can free it once composed (~15% of the n = 8 build)
         ((rank, r),) = sels
         return _power(baker.permutation_table(baker.unrank(n, rank)), r)[None].astype(dtype, copy=False)
-    ranks = dict.fromkeys(rank for rank, _ in sels)
-    bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in ranks}
-    size = 1 << (2 * n)
-    out = np.empty((len(sels), size), dtype=dtype)
-    rounds = np.array([r for _, r in sels], dtype=np.int64)
-    step = max(1, _CHUNK // size)
-    for r in np.unique(rounds):
-        same = np.flatnonzero(rounds == r)
-        for c0 in range(0, same.size, step):
-            rows = same[c0 : c0 + step]
-            offsets = np.arange(0, rows.size * size, size, dtype=np.intp)[:, None]
-            flat = np.stack([bases[sels[i][0]] for i in rows])
-            flat += offsets
-            powered = _power(flat.ravel(), int(r)).reshape(flat.shape)
-            powered -= offsets
-            out[rows] = powered
+    bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in dict.fromkeys(r for r, _ in sels)}
+    out = np.empty((len(sels), 1 << (2 * n)), dtype=dtype)
+    for row, (rank, r) in zip(out, sels):
+        row[:] = _power(bases[rank], r)
     return out
 
 

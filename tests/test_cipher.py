@@ -398,10 +398,9 @@ def test_scramble_stage2_roundtrip_and_slices():
 
 @pytest.mark.parametrize("chunk", [1, 50])
 def test_chunk_size_never_changes_the_bytes(monkeypatch, tmp_path, chunk):
-    # chunks only split the work: every known answer holds when lanes and
-    # table powering go a few entries at a time
+    # chunks only split _permute's lane loop: every known answer holds when
+    # both stages move their lanes a few entries at a time
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
-    cipher_module._schedule.cache_clear()  # rebuild the stage-1 tables in chunks too
     path = tmp_path / "set.key"
     for case, want in KAT.items():
         key, plain = kat_case(*case)
@@ -414,6 +413,36 @@ def test_chunk_size_never_changes_the_bytes(monkeypatch, tmp_path, chunk):
         assert got == want, case
         back, stray = decrypt(cipher, updated)
         assert stray == 0 and np.array_equal(back.pixels, plain.pixels), case
+
+
+# kat_case digests at the benchmark geometries, which the KATs (n <= 4) do
+# not reach: at the default _CHUNK each stage-2 chunk holds one lane at
+# n = 8 (oneshot-n8) and two lanes at n = 7 (battery-k4, k = 4)
+BENCHMARK_KAT = {
+    (8, 3, 8): (
+        "be433695b47cbf2526a4eb21aa12a1f92a7afee043108377bcb4cfd8a4230f65",
+        "ab200f765eae512994a8cbe929c3c4fc782d77a593de99b88ac45971a8fe48cc",
+    ),
+    (7, 16, 8): (
+        "99bbf0ce81761e5308ab69f8a376006b520eed7e471cf5e3131dc77f321f4201",
+        "b675118ab891603682bc969fd80728555876dd100b4d11f6dde6daf1cc69268f",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BENCHMARK_KAT))
+def test_benchmark_geometries_keep_their_bytes(case, tmp_path):
+    key, plain = kat_case(*case)
+    cipher, updated = encrypt(plain, key)
+    path = tmp_path / "set.key"
+    write_key(updated, path)
+    got = (
+        hashlib.sha256(cipher.pixels.astype("<u4").tobytes()).hexdigest(),
+        hashlib.sha256(path.read_bytes()).hexdigest(),
+    )
+    assert got == BENCHMARK_KAT[case]
+    back, stray = decrypt(cipher, updated)
+    assert stray == 0 and np.array_equal(back.pixels, plain.pixels)
 
 
 def test_zero_rounds_is_identity():
@@ -433,13 +462,11 @@ def scatter(values, table, times=1):
     return values
 
 
-@pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
+def test_tables_match_repeated_scatters(n):
     # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
     # in the intp of stage 2 and the narrow type of the stage-1 tables;
-    # each selection alone takes the one-table path
-    monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
+    # each selection alone takes the one-row path
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
     rng.shuffle(rounds)
