@@ -462,11 +462,14 @@ def scatter(values, table, times=1):
     return values
 
 
+@pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
-def test_tables_match_repeated_scatters(n):
+def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
     # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
     # in the intp of stage 2 and the narrow type of the stage-1 tables;
-    # each selection alone takes the one-row path
+    # each selection alone takes the one-row path.  _tables reads no
+    # _CHUNK, so the tables hold whatever chunk _permute is given
+    monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
     rng.shuffle(rounds)
