@@ -1,13 +1,15 @@
 """Coupled Chebyshev / Henon-sine dynamics and keystream material.
 
-The diffusion keystream mixes two sources: a sine-wrapped Henon orbit seeded
-from exact whole-set image statistics, and Chebyshev polynomials indexed by
-rank permutations of that orbit.  Everything here is deterministic given the
-seed values.  Chebyshev values come from two paths that agree bit for bit:
-chebyshev, one value at 136 bits through integer mpmath.libmp arithmetic
-(the seed's order, the appendix table), and chebyshev_many, a whole vector
-in numpy double-double arithmetic (the keystream grids), which hands the few
-entries near a rounding midpoint to chebyshev.  Neither calls libm.
+The diffusion keystream mixes two sources: a sine-wrapped Henon orbit, and
+Chebyshev polynomials indexed by rank permutations of that orbit.  The orbit
+starts at the seed (x0, y0) that seed_from_sums makes from two exact
+whole-set sums, which derive_seed takes from the images and the key carries.
+Everything here is deterministic given the seed values.  Chebyshev values
+come from two paths that agree bit for bit: chebyshev, one value at 136 bits
+through integer mpmath.libmp arithmetic (the seed's order, the appendix
+table), and chebyshev_many, a whole vector in numpy double-double arithmetic
+(the keystream grids), which hands the few entries near a rounding midpoint
+to chebyshev.  Neither calls libm.
 """
 
 from __future__ import annotations
@@ -201,25 +203,15 @@ def chebyshev_many(orders, xs) -> np.ndarray:
 # Seed material
 
 
-@dataclass(frozen=True)
-class SeedMaterial:
-    """Whole-set statistics binding the keystream to the plaintext.
-
-    intensity_sum and bit_count are exact integers; x0 is the normalised
-    intensity and y0 chains it through a Chebyshev order equal to the total
-    set-bit count, so flipping any single plaintext bit reseeds both.
-    """
-
-    intensity_sum: int
-    bit_count: int
-    x0: float
-    y0: float
-
-
 def seed_from_sums(
     intensity_sum: int, bit_count: int, m_prime: int, bit_depth: int, n: int
-) -> SeedMaterial:
-    """Rebuild seed values from the stored exact sums."""
+) -> tuple[float, float]:
+    """The orbit seed (x0, y0) of an image set with these exact sums.
+
+    x0 is the normalised intensity and y0 chains it through a Chebyshev order
+    equal to the total set-bit count, so flipping any single plaintext bit
+    reseeds both.  Sums the declared geometry cannot hold are refused.
+    """
     denom = m_prime * ((1 << bit_depth) - 1) * (1 << (2 * n))
     if not 0 <= intensity_sum <= denom:
         raise ValueError("intensity sum out of range for the declared geometry")
@@ -227,15 +219,14 @@ def seed_from_sums(
     if not 0 <= bit_count <= bits:
         raise ValueError(f"bit_count {bit_count} out of range [0, {bits}] for the declared geometry")
     x0 = intensity_sum / denom
-    y0 = chebyshev(bit_count, x0)
-    return SeedMaterial(intensity_sum=intensity_sum, bit_count=bit_count, x0=x0, y0=y0)
+    return x0, chebyshev(bit_count, x0)
 
 
-def derive_seed(images: MultiImage) -> SeedMaterial:
-    """Exact seed statistics of an image set."""
+def derive_seed(images: MultiImage) -> tuple[int, int]:
+    """The exact sums (intensity_sum, bit_count) of an image set, which a key carries."""
     intensity = int(images.pixels.sum())
     bits = int(np.count_nonzero(_split_planes(images.pixels, images.bit_depth)))
-    return seed_from_sums(intensity, bits, images.m_prime, images.bit_depth, images.n)
+    return intensity, bits
 
 
 # ---------------------------------------------------------------------------
@@ -375,20 +366,24 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
 # Lyapunov estimation
 
 
+# Burn-in of both estimators, and the seed and length of henon_sine_lyapunov's orbit
+_LYAPUNOV_BURN_IN = 100
+_LYAPUNOV_SEED = (0.1, 0.1)
+_LYAPUNOV_STEPS = 20_000
+
+
 @dataclass(frozen=True)
 class LyapunovEstimate:
     value: float
     skipped: int  # orbit points with zero derivative, excluded from the mean
 
 
-def lyapunov_estimate(
-    f, dfdx, x0: float, iterations: int, burn_in: int = 100
-) -> LyapunovEstimate:
+def lyapunov_estimate(f, dfdx, x0: float, iterations: int) -> LyapunovEstimate:
     """Largest Lyapunov exponent of a 1-D map by orbit-averaged log |f'|."""
     if iterations < 1:
         raise ValueError("iterations must be positive")
     x = x0
-    for _ in range(burn_in):
+    for _ in range(_LYAPUNOV_BURN_IN):
         x = f(x)
     total = 0.0
     used = 0
@@ -406,19 +401,14 @@ def lyapunov_estimate(
     return LyapunovEstimate(value=total / used, skipped=skipped)
 
 
-def henon_sine_lyapunov(
-    p: HenonSineParams,
-    seed: tuple[float, float] = (0.1, 0.1),
-    iterations: int = 20000,
-    burn_in: int = 100,
-) -> float:
+def henon_sine_lyapunov(p: HenonSineParams) -> float:
     """Largest Lyapunov exponent of the 2-D step by tangent-vector growth."""
-    x, y = seed
-    for _ in range(burn_in):
+    x, y = _LYAPUNOV_SEED
+    for _ in range(_LYAPUNOV_BURN_IN):
         x, y = henon_sine_step(x, y, p)
     vx, vy = 1.0, 0.0
     total = 0.0
-    for _ in range(iterations):
+    for _ in range(_LYAPUNOV_STEPS):
         u = 1.0 - HENON_A * x * x + y
         c1 = math.cos(math.pi * p.lambda1 * u) * math.pi * p.lambda1
         c2 = math.cos(math.pi * p.lambda2 * (HENON_B * x)) * math.pi * p.lambda2
@@ -432,7 +422,7 @@ def henon_sine_lyapunov(
             total += math.log(norm)
             vx, vy = jvx / norm, jvy / norm
         x, y = henon_sine_step(x, y, p)
-    return total / iterations
+    return total / _LYAPUNOV_STEPS
 
 
 # ---------------------------------------------------------------------------

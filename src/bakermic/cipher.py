@@ -26,7 +26,6 @@ from .chaos import (
     DegenerateKeyError,
     HenonSineParams,
     RankPerms,
-    SeedMaterial,
     derive_seed,
     distinct_sequence,
     henon_orbit,
@@ -512,32 +511,28 @@ def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitP
 # Diffusion
 
 
-def image_rank_perms(key: SecretKey, seed: SeedMaterial, m: int) -> RankPerms:
-    """Rank permutations for stack image m; padded images reuse m mod M'."""
+def image_rank_perms(key: SecretKey, seed: tuple[float, float], m: int) -> RankPerms:
+    """Rank permutations for stack image m from the orbit seed (x0, y0); padded images reuse m mod M'."""
     ip = key.image_params[m % key.m_prime]
     try:
-        xs, ys = distinct_sequence(
-            (seed.x0, seed.y0),
-            HenonSineParams(ip.lambda1, ip.lambda2),
-            count=1 << key.n,
-        )
+        xs, ys = distinct_sequence(seed, HenonSineParams(ip.lambda1, ip.lambda2), count=1 << key.n)
     except DegenerateKeyError as exc:
         raise DegenerateKeyError(exc.count, exc.found, exc.iterations, exc.cycled, image=m) from None
     return rank_perms(xs, ys)
 
 
-def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dict | None = None) -> BitPlaneStack:
-    """XOR the keystream over every bit site; self-inverse by construction.
+def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...], stats: dict | None = None) -> BitPlaneStack:
+    """XOR the keystream grids over every bit site; self-inverse by construction.
 
-    The keystream integers at (image, x, y) are split into 2**k bit planes
-    like pixels, and every (image, plane, x, y) site is XORed exactly once
-    with its keystream bit.  Padded images take the grid of image m mod M',
+    grids holds one keystream grid per source image, as _grids(key) returns
+    them.  The keystream integers at (image, x, y) are split into 2**k bit
+    planes like pixels, and every (image, plane, x, y) site is XORed exactly
+    once with its keystream bit.  Padded image m takes grids[m % len(grids)],
     so all 2**k images get live keystream.  When stats is given,
     stats['xor_sites'] receives the number of sites actually touched.
     """
-    grids = _grids(_bare(key), seed)
     s = stack.stack_side
-    bits = _split_planes(np.stack([grids[m % key.m_prime] for m in range(s)]), s)
+    bits = _split_planes(np.stack([grids[m % len(grids)] for m in range(s)]), s)
     np.bitwise_xor(bits, stack.bits, out=bits)
     if stats is not None:
         stats["xor_sites"] = bits.size
@@ -549,13 +544,15 @@ def diffuse(stack: BitPlaneStack, key: SecretKey, seed: SeedMaterial, stats: dic
 
 
 def _bare(key: SecretKey) -> SecretKey:
-    """key without its plaintext sums, which play no part in its schedule or grids."""
+    """key without its plaintext sums, which play no part in its schedule."""
     return dataclasses.replace(key, intensity_sum=None, bit_count=None)
 
 
 # Passes under one key share what it determines.  The most recent key's
 # schedule is kept with its stage-1 tables (built on first use); a new key's
-# schedule replaces it once derived.  Stage-2 tables are not kept but built
+# schedule replaces it once derived.  The keystream grids of the two most
+# recent seeded keys are kept, so a decrypt after its encrypt recomputes
+# neither the seed nor the grids.  Stage-2 tables are not kept but built
 # a lane chunk at a time on every pass: all of them would take 8 MB even in
 # uint16 at n=7 with 16 images or at n=8 with 3, and 67 MB at n=9.
 # Threads may share both caches: lru_cache keeps its entries consistent, but
@@ -568,8 +565,15 @@ def _schedule(key: SecretKey) -> KeySchedule:
 
 
 @functools.lru_cache(maxsize=2)  # analyze alternates P and flipped P
-def _grids(key: SecretKey, seed: SeedMaterial) -> tuple[np.ndarray, ...]:
-    """Keystream grid of each source image 0..M'-1, in that order."""
+def _grids(key: SecretKey) -> tuple[np.ndarray, ...]:
+    """Keystream grid of each source image 0..M'-1, in that order, under a seeded key.
+
+    The orbits start at the seed that seed_from_sums makes from the key's
+    plaintext sums; a key without them is refused.
+    """
+    if key.intensity_sum is None:
+        raise ValueError("key carries no plaintext statistics; encrypt first")
+    seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
     return tuple(
         keystream_grid(image_rank_perms(key, seed, m), key.image_params[m].q, key.k) for m in range(key.m_prime)
     )
@@ -585,14 +589,14 @@ def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
     """
     if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
         raise ValueError("key geometry does not match the image set")
-    seed = derive_seed(images)
-    key = dataclasses.replace(key, intensity_sum=seed.intensity_sum, bit_count=seed.bit_count)
-    _grids(_bare(key), seed)  # orbits first: a degenerate key is refused before any scrambling
+    intensity_sum, bit_count = derive_seed(images)
+    key = dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count)
+    grids = _grids(key)  # orbits first: a degenerate key is refused before any scrambling
     sched = _schedule(_bare(key))
     stack = decompose(images)
     stack = scramble_images_planes(stack, sched)
     stack = scramble_positions(stack, sched)
-    stack = diffuse(stack, key, seed)
+    stack = diffuse(stack, grids)
     return recompose_all(stack), key
 
 
@@ -604,13 +608,11 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     key or corrupted ciphertext, but the recovered images are still
     returned for inspection.
     """
-    if key.intensity_sum is None:
-        raise ValueError("key carries no plaintext statistics; encrypt first")
     s = 1 << key.k
     if cipher.n != key.n or cipher.m_prime != s or cipher.bit_depth != s:
         raise ValueError("ciphertext geometry does not match the key")
-    seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
-    stack = diffuse(decompose(cipher), key, seed)
+    grids = _grids(key)
+    stack = diffuse(decompose(cipher), grids)
     sched = _schedule(_bare(key))
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)

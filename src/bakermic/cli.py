@@ -127,9 +127,6 @@ def cmd_analyze(args) -> int:
         b = load_multi(args.inp2)
         if a.pixels.shape != b.pixels.shape or a.bit_depth != b.bit_depth:
             raise ValueError("the two image sets must share shape and depth")
-        _set_metrics(report, a, args.seed)
-        report.npcr, report.uaci = analysis.npcr_uaci(a.pixels, b.pixels, a.bit_depth)
-        report.bit_diff = analysis.bit_difference_rate(a.pixels, b.pixels, a.bit_depth)
     else:
         if args.key is None:
             raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
@@ -142,20 +139,17 @@ def cmd_analyze(args) -> int:
             analysis.check_block(block, plain.side)
         if args.density is not None:
             analysis.check_density(args.density)
-        cipher1, key1 = encrypt(plain, key)
-        cipher2, _ = encrypt(_flip_one_bit(plain), key)
-        _set_metrics(report, cipher1, args.seed)
-        report.npcr, report.uaci = analysis.npcr_uaci(
-            cipher1.pixels, cipher2.pixels, cipher1.bit_depth
-        )
-        report.bit_diff = analysis.bit_difference_rate(
-            cipher1.pixels, cipher2.pixels, cipher1.bit_depth
-        )
+        a, key1 = encrypt(plain, key)
+        b, _ = encrypt(_flip_one_bit(plain), key)
+    _set_metrics(report, a, args.seed)
+    report.npcr, report.uaci = analysis.npcr_uaci(a.pixels, b.pixels, a.bit_depth)
+    report.bit_diff = analysis.bit_difference_rate(a.pixels, b.pixels, a.bit_depth)
+    if args.inp2 is None:
         if args.block is not None:
-            series = analysis.occlusion_test(cipher1, key1, plain, block)
+            series = analysis.occlusion_test(a, key1, plain, block)
             report.psnr_series["occlusion"] = list(series)
         if args.density is not None:
-            series = analysis.noise_test(cipher1, key1, plain, args.density, seed=args.seed)
+            series = analysis.noise_test(a, key1, plain, args.density, seed=args.seed)
             report.psnr_series[f"noise_{args.density:g}"] = list(series)
     _write_text(args.out, report.render())
     return 0

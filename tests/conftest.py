@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -50,6 +51,12 @@ def random_images(n: int, count: int, seed: int = 0, bit_depth: int = 8) -> Mult
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 1 << bit_depth, size=(count, 1 << n, 1 << n))
     return MultiImage(n=n, bit_depth=bit_depth, pixels=pixels)
+
+
+def temporaries(path) -> list[str]:
+    """Temporary files brqmi.write_atomic would leave next to path, by its mkstemp prefix."""
+    directory, name = os.path.split(os.fspath(path))
+    return [f for f in os.listdir(directory) if f.startswith(f".{name}.")]
 
 
 def forget_keys() -> None:

@@ -6,6 +6,7 @@ independent re-derivations (brute-force enumeration, bit-shuffle closed
 forms, high-precision references), not calls back into the code under test.
 """
 
+import dataclasses
 import math
 import random
 import time
@@ -194,11 +195,12 @@ def test_criterion_05_diffusion_involution(announce):
     for n, m, depth, seed in ((2, 2, 4, 50), (3, 3, 8, 51)):
         key = cipher.make_key(n=n, m_prime=m, bit_depth=depth, rng=random.Random(seed))
         images = random_images(n=n, count=m, seed=seed, bit_depth=depth)
-        seed_mat = chaos.derive_seed(images)
+        intensity_sum, bit_count = chaos.derive_seed(images)
+        grids = cipher._grids(dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count))
         stack = decompose(images)
         stats: dict = {}
-        once = cipher.diffuse(stack, key, seed_mat, stats=stats)
-        twice = cipher.diffuse(once, key, seed_mat)
+        once = cipher.diffuse(stack, grids, stats=stats)
+        twice = cipher.diffuse(once, grids)
         expected_sites = 1 << (2 * (key.n + key.k))
         results.append(
             np.array_equal(twice.bits, stack.bits) and stats["xor_sites"] == expected_sites

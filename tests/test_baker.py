@@ -96,6 +96,8 @@ def test_width_parsing():
         parse_widths("")
     with pytest.raises(ValueError):
         parse_widths("4,3,1")
+    with pytest.raises(ValueError, match="bad partition text '4,x'"):
+        parse_widths("4,x")
     with pytest.raises(ValueError):
         from_widths((4, 2, 1))  # sums to 7
 

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from bakermic.brqmi import (
     write_pgm,
 )
 
-from conftest import random_images
+from conftest import random_images, temporaries
 from oracles import padding_mask
 
 
@@ -229,3 +231,75 @@ def test_write_atomic_follows_symlinks(tmp_path):
     write_atomic(link, b"new")
     assert link.is_symlink() and target.read_bytes() == b"new"
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.txt", "real.txt"]
+
+
+def test_write_atomic_writes_a_device_in_place():
+    write_atomic("/dev/null", b"data")
+    assert os.path.exists("/dev/null") and not os.path.isfile("/dev/null")
+    assert temporaries("/dev/null") == []
+
+
+def test_write_atomic_follows_a_symlink_to_a_device(tmp_path):
+    link = tmp_path / "sink"
+    link.symlink_to("/dev/null")
+    write_atomic(link, b"data")
+    assert link.is_symlink() and os.readlink(link) == "/dev/null"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sink"]
+    assert temporaries("/dev/null") == []
+
+
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        (b"P5\n2 2\n", "truncated header"),
+        (b"P2\n2 2\n255\n1 2 3 4\n", "not a binary PGM"),
+        (b"P5\n2 x\n255\n" + bytes(4), "malformed header"),
+        (b"P5\n2 2\n65536\n" + bytes(8), "maxval 65536 out of range"),
+        (b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data"),
+        (b"P5\n2 2\n3\n" + bytes([0, 1, 2, 4]), "sample exceeds declared maxval"),
+    ],
+)
+def test_read_pgm_refusals(tmp_path, body, message):
+    path = tmp_path / "bad.pgm"
+    path.write_bytes(body)
+    with pytest.raises(ValueError, match=message):
+        read_pgm(path)
+
+
+@pytest.mark.parametrize(
+    "pixels, maxval, message",
+    [
+        (np.zeros((2, 2), dtype=np.uint8), 0, "maxval 0 out of range for PGM"),
+        (np.zeros(4, dtype=np.uint8), 255, "PGM payload must be two-dimensional"),
+        (np.full((2, 2), 16, dtype=np.uint8), 15, "sample exceeds maxval"),
+    ],
+)
+def test_write_pgm_refusals(tmp_path, pixels, maxval, message):
+    path = tmp_path / "bad.pgm"
+    with pytest.raises(ValueError, match=message):
+        write_pgm(path, pixels, maxval)
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "maxvals, entries, message",
+    [
+        ([], "# no images\n\n", "no image entries"),
+        ([255, 15], "a.pgm\nb.pgm\n", "images disagree on maxval"),
+        ([200], "a.pgm\n", r"maxval 200 is not 2\*\*L - 1"),
+    ],
+)
+def test_load_multi_refusals(tmp_path, maxvals, entries, message):
+    for name, maxval in zip("ab", maxvals):
+        write_pgm(tmp_path / f"{name}.pgm", np.zeros((2, 2), dtype=np.uint8), maxval)
+    manifest = tmp_path / "set.txt"
+    manifest.write_text(entries)
+    with pytest.raises(ValueError, match=message):
+        load_multi(manifest)
+
+
+def test_save_multi_refuses_depth_above_16(tmp_path):
+    images = MultiImage(n=0, bit_depth=17, pixels=np.zeros((1, 1, 1), dtype=np.uint32))
+    with pytest.raises(ValueError, match="bit depth too large for PGM output"):
+        save_multi(images, tmp_path / "set.txt")
+    assert list(tmp_path.iterdir()) == []

@@ -210,23 +210,24 @@ def test_chebyshev_many_rarely_falls_back_on_real_orbits(monkeypatch):
 
 def test_seed_examples():
     zero = MultiImage(n=2, bit_depth=8, pixels=np.zeros((2, 4, 4), dtype=np.uint8))
-    seed = derive_seed(zero)
-    assert (seed.intensity_sum, seed.bit_count) == (0, 0)
-    assert seed.x0 == 0.0
-    assert seed.y0 == 1.0  # order-0 polynomial is constant 1
+    assert derive_seed(zero) == (0, 0)
+    x0, y0 = seed_from_sums(0, 0, 2, 8, 2)
+    assert x0 == 0.0
+    assert y0 == 1.0  # order-0 polynomial is constant 1
 
     full = MultiImage(n=2, bit_depth=8, pixels=np.full((2, 4, 4), 255, dtype=np.uint8))
-    seed = derive_seed(full)
-    assert seed.x0 == 1.0
+    x0, _ = seed_from_sums(*derive_seed(full), 2, 8, 2)
+    assert x0 == 1.0
 
     quad = MultiImage(
         n=1, bit_depth=8, pixels=np.array([[[0, 85], [170, 255]]], dtype=np.uint8)
     )
-    seed = derive_seed(quad)
-    assert seed.intensity_sum == 510
-    assert seed.bit_count == 16
-    assert seed.x0 == 0.5
-    assert seed.y0 == pytest.approx(-0.5, abs=1e-15)  # cos(16*pi/3)
+    intensity_sum, bit_count = derive_seed(quad)
+    assert intensity_sum == 510
+    assert bit_count == 16
+    x0, y0 = seed_from_sums(intensity_sum, bit_count, 1, 8, 1)
+    assert x0 == 0.5
+    assert y0 == pytest.approx(-0.5, abs=1e-15)  # cos(16*pi/3)
 
 
 def test_seed_from_sums_range():
@@ -234,8 +235,8 @@ def test_seed_from_sums_range():
         seed_from_sums(-1, 0, 1, 8, 1)
     with pytest.raises(ValueError):
         seed_from_sums(1021, 0, 1, 8, 1)  # above 1 * 255 * 4
-    seed = seed_from_sums(510, 16, 1, 8, 1)
-    assert seed.x0 == 0.5
+    x0, _ = seed_from_sums(510, 16, 1, 8, 1)
+    assert x0 == 0.5
 
 
 PINNED_XS = [0.02122549033429831, 0.03579040329061107]

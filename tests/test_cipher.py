@@ -12,7 +12,7 @@ import pytest
 from bakermic import cipher as cipher_module
 from bakermic.baker import count_partitions, permutation_table, unrank
 from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
-from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step
+from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step, seed_from_sums
 from bakermic.cipher import (
     ImageParams,
     KeySchedule,
@@ -514,25 +514,31 @@ def test_stage_order_matters():
     assert not np.array_equal(ab.bits, ba.bits)
 
 
+def seeded(key, images):
+    """key carrying the plaintext sums of images, as encrypt returns it."""
+    intensity_sum, bit_count = derive_seed(images)
+    return dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count)
+
+
 def test_diffuse_involution_and_count():
     key = fixed_small_key()
     images = random_images(n=2, count=2, seed=12, bit_depth=4)
-    seed = derive_seed(images)
+    grids = cipher_module._grids(seeded(key, images))
     stack = decompose(images)
     stats: dict = {}
-    once = diffuse(stack, key, seed, stats=stats)
+    once = diffuse(stack, grids, stats=stats)
     assert stats["xor_sites"] == 1 << (2 * (key.n + key.k))
     assert not np.array_equal(once.bits, stack.bits)
-    twice = diffuse(once, key, seed)
+    twice = diffuse(once, grids)
     assert np.array_equal(twice.bits, stack.bits)
 
 
 def test_diffuse_matches_scalar_keystream():
     key = fixed_small_key()  # n=2, k=2: padded stack is 4x4 slots
     images = random_images(n=2, count=2, seed=13, bit_depth=4)
-    seed = derive_seed(images)
+    seed = seed_from_sums(*derive_seed(images), key.m_prime, key.bit_depth, key.n)
     stack = decompose(images)
-    out = diffuse(stack, key, seed)
+    out = diffuse(stack, cipher_module._grids(seeded(key, images)))
     side = 1 << key.n
     for m in range(1 << key.k):
         perms = image_rank_perms(key, seed, m)

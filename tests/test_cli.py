@@ -1,3 +1,4 @@
+import os
 import random
 
 import numpy as np
@@ -8,7 +9,7 @@ from bakermic.chaos import DegenerateKeyError
 from bakermic.cipher import make_key, read_key, write_key
 from bakermic.cli import main
 
-from conftest import natural_images, random_images
+from conftest import natural_images, random_images, temporaries
 
 
 def run(*argv):
@@ -164,6 +165,16 @@ def test_analyze_pair_mode(tmp_path):
     assert "correlation[horizontal][0] = " in text
     assert "npcr = " in text
     assert "bit_diff = " in text
+
+
+def test_analyze_pair_mode_refuses_sets_of_different_shape(tmp_path, capsys):
+    pa, pb = tmp_path / "a.txt", tmp_path / "b.txt"
+    save_multi(random_images(n=2, count=2, seed=25), pa)
+    save_multi(random_images(n=2, count=3, seed=26), pb)
+    report = tmp_path / "report.txt"
+    assert run("analyze", "--in", str(pa), "--in2", str(pb), "--out", str(report)) == 2
+    assert "the two image sets must share shape and depth" in capsys.readouterr().err
+    assert not report.exists()
 
 
 def test_analyze_full_mode(tmp_path):
@@ -348,6 +359,13 @@ def test_appendix_henon_accepts_a_large_finite_first_step(tmp_path):
 def test_stdout_output(capsys):
     assert run("circuit", "synth", "1,1") == 0
     assert "# n=1" in capsys.readouterr().out
+
+
+def test_out_to_a_device(capsys):
+    assert run("appendix", "chebyshev", "--kmax", "2", "--points", "3", "--out", "/dev/null") == 0
+    assert capsys.readouterr().out == ""
+    assert not os.path.isfile("/dev/null")
+    assert temporaries("/dev/null") == []
 
 
 def test_usage_errors(tmp_path, capsys):
