@@ -94,8 +94,43 @@ def parse_widths(text: str) -> BakerPartition:
     return from_widths(widths)
 
 
+@lru_cache(maxsize=None)
+def _rows(n: int) -> np.ndarray:
+    """Read-only (n + 1, 2**n) intp table: row low sends y to ((y & (2**low - 1)) << n) | (y >> low)."""
+    ys = np.arange(1 << n, dtype=np.intp)
+    lows = np.arange(n + 1, dtype=np.intp)[:, None]
+    rows = ((ys & ((1 << lows) - 1)) << n) | (ys >> lows)
+    rows.flags.writeable = False
+    return rows
+
+
+def strip_layout(n: int, qs: "tuple[int, ...]") -> tuple[np.ndarray, np.ndarray]:
+    """Per-column arrays (low, cols) of the partition of 2**n with exponents qs.
+
+    Column x of the strip of width 2**q starting at x0 has low[x] = n - q and
+    cols[x] = ((x - x0) << (low + n)) + x0, both intp.
+    """
+    qs = np.asarray(qs, dtype=np.intp)
+    widths = 1 << qs
+    low = np.repeat(n - qs, widths)
+    x0 = np.repeat(np.cumsum(widths) - widths, widths)
+    cols = ((np.arange(1 << n) - x0) << (low + n)) + x0
+    return low, cols
+
+
+def strip_tables(n: int, low: np.ndarray, cols: np.ndarray) -> np.ndarray:
+    """Tables of the maps whose strip layouts are (low, cols), one per row of low.
+
+    low and cols have shape (..., 2**n); the result has shape (..., 4**n),
+    in intp, and is the one full-size array the build allocates.
+    """
+    table = _rows(n)[low]
+    table += cols[..., None]
+    return table.reshape(*low.shape[:-1], -1)
+
+
 def permutation_table(part: BakerPartition) -> np.ndarray:
-    """Whole-lattice permutation over flat indices x * 2**n + y.
+    """Whole-lattice permutation over flat indices x * 2**n + y, in intp.
 
     Entry table[p] is the flat index of the image of point p, so scattering
     values with table realises one application of the map.
@@ -103,21 +138,13 @@ def permutation_table(part: BakerPartition) -> np.ndarray:
     The map is a shuffle of index bits inside each strip: with low = n - q,
     a point of the strip of width 2**q starting at x0 goes to
     x' = ((x - x0) << low) | (y & (2**low - 1)) and y' = x0 + (y >> low).
-    That is the wire permutation qcircuit synthesises, and these tables are
-    the ones the cipher's scrambling stages run.  The index splits into a
-    part set by x (through x0 and low) and a part set by y and low, so the
-    table is a per-column term plus one of n + 1 precomputed rows.
+    That is the wire permutation qcircuit synthesises, and the cipher's
+    scrambling stages run the same tables.  The index splits into a part set
+    by x (cols[x], through x0 and low) and a part set by y and low, one of
+    the n + 1 rows of _rows(n); strip_layout and strip_tables state that
+    rule once, for this function and for the stage-2 tables alike.
     """
-    n = part.n
-    side = part.side
-    ys = np.arange(side, dtype=np.int64)
-    lows = np.arange(n + 1, dtype=np.int64)[:, None]
-    rows = ((ys & ((1 << lows) - 1)) << n) | (ys >> lows)
-    widths = part.widths
-    low = np.repeat(np.asarray([n - q for q in part.qs], dtype=np.int64), widths)
-    start = np.repeat(np.asarray(part.prefix_sums()[:-1], dtype=np.int64), widths)
-    cols = ((ys - start) << (low + n)) + start
-    return (cols[:, None] + rows[low]).ravel()
+    return strip_tables(part.n, *strip_layout(part.n, part.qs))
 
 
 _BIG_COUNT_LIMIT = 64

@@ -301,10 +301,10 @@ class KeySchedule:
     _permute asks for a stage's forward tables a lane chunk at a time, through
     stage1_rows (pixels) or stage2_rows (slots); those two methods alone
     decide which tables are kept and which are rebuilt.  Each returns a
-    fresh array, which _permute may overwrite: stage1_rows a gather from the
-    cached, read-only stage1_tables, stage2_rows intp tables built for the
-    call.  Both build their tables with _tables, which powers each table on
-    its own.
+    fresh array, which _permute may overwrite.  stage1_rows gathers from the
+    cached, read-only stage1_tables.  stage2_rows builds intp tables for the
+    call from the cached, read-only stage2_layout, so no pass repeats a
+    slot's partition work.
     """
 
     n: int
@@ -335,9 +335,38 @@ class KeySchedule:
         codes, tables = self.stage1_tables
         return tables[codes[c0:c1]]
 
+    @functools.cached_property
+    def stage2_layout(self) -> tuple[np.ndarray, np.ndarray]:
+        """(low, cols): slot s's base table is baker.strip_tables(n, low[s], cols[s]).
+
+        Each slot's strip layout (baker.strip_layout), built once from its
+        rank and kept, read-only, for every later stage-2 pass: low in uint8
+        and cols in intp, each of shape (slots, 2**n).  That is 147 KB at
+        n=8 with 3 images and 295 KB at n=7 with 16 or at n=9 with 3.
+        """
+        low = np.empty((len(self.stage2), 1 << self.n), np.uint8)
+        cols = np.empty(low.shape, np.intp)
+        for s, (rank, _) in enumerate(self.stage2):
+            low[s], cols[s] = baker.strip_layout(self.n, baker.unrank(self.n, rank).qs)
+        low.flags.writeable = cols.flags.writeable = False
+        return low, cols
+
     def stage2_rows(self, c0: int, c1: int) -> np.ndarray:
-        """Forward tables of slots c0..c1-1, built afresh in intp on every call."""
-        return _tables(self.n, self.stage2[c0:c1])
+        """Forward tables of slots c0..c1-1, built afresh in intp on every call.
+
+        Each base table is one gather and one add from stage2_layout, with
+        one full-size allocation.  A single slot (one lane per chunk, from
+        n = 8) returns its powered table itself, with no copy into a fresh
+        array, so _power can free the base once it has squared it; several
+        are powered row by row in place.
+        """
+        low, cols = self.stage2_layout
+        if c1 - c0 == 1:
+            return _power(baker.strip_tables(self.n, low[c0], cols[c0]), self.stage2[c0][1])[None]
+        out = baker.strip_tables(self.n, low[c0:c1], cols[c0:c1])
+        for row, (_, r) in zip(out, self.stage2[c0:c1]):
+            row[:] = _power(row, r)
+        return out
 
 
 _BLOCK = 1024  # draws per block: the recurrence fills one block of floats, numpy reduces it
@@ -431,19 +460,13 @@ def _power(table: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
-def _tables(n: int, sels: list[tuple[int, int]], dtype=np.intp) -> np.ndarray:
-    """Forward tables, row i being unrank(n, rank_i) applied rounds_i times.
+def _tables(n: int, sels: list[tuple[int, int]], dtype) -> np.ndarray:
+    """Stage-1 forward tables, row i being unrank(n, rank_i) applied rounds_i times.
 
     One base table is built per distinct rank, and each row is powered on its
-    own and stored as dtype: intp for stage 2, whose tables go straight to
-    _permute, and the narrowest unsigned type for the stage-1 tables a
-    schedule keeps.  A single row (one stage-2 lane per chunk, from n = 8) is
-    the powered table itself, with no copy into a fresh array: the copy made
-    n = 8 stage 2 about a tenth slower.
+    own and stored as dtype, the narrowest unsigned type for the stage-1
+    tables a schedule keeps.
     """
-    if len(sels) == 1:  # no dict holds this base, so _power can free it once composed (~15% of the n = 8 build)
-        ((rank, r),) = sels
-        return _power(baker.permutation_table(baker.unrank(n, rank)), r)[None].astype(dtype, copy=False)
     bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in dict.fromkeys(r for r, _ in sels)}
     out = np.empty((len(sels), 1 << (2 * n)), dtype=dtype)
     for row, (rank, r) in zip(out, sels):
@@ -458,7 +481,9 @@ def _permute(stack: BitPlaneStack, rows, inverse: bool, axis: int) -> BitPlaneSt
     (stage 2).  Each index along the other axis is a lane, and rows(c0, c1)
     returns the forward tables of lanes c0..c1-1 as a fresh array, which
     _permute may overwrite: along axis 1 it adds the lane offsets in place,
-    so those tables must be intp.  The forward direction
+    so those tables must be intp.  Each chunk's tables become one flat,
+    C-ordered intp index into the whole tensor, laid out like the chunk's
+    block, so numpy takes its fast 1-D path.  The forward direction
     scatters with a lane's table (out[t[i]] = lane[i]), the inverse gathers
     (out[i] = lane[t[i]]).  Lanes go in chunks of about _CHUNK index
     entries, and at least one lane.
@@ -473,16 +498,18 @@ def _permute(stack: BitPlaneStack, rows, inverse: bool, axis: int) -> BitPlaneSt
         c1 = min(c0 + step, lanes)
         lin = rows(c0, c1)
         if axis == 0:
-            lin = np.multiply(lin, lanes, dtype=np.intp)
-            lin += np.arange(c0, c1)[:, None]
-            lin, block = lin.T, (slice(None), slice(c0, c1))
+            # without order="C" the transposed copy keeps F order, and ravel copies it again
+            lin = lin.T.astype(np.intp, order="C")
+            lin *= lanes
+            lin += np.arange(c0, c1)
+            block = (slice(None), slice(c0, c1))
         else:
             lin += np.arange(c0 * size, c1 * size, size)[:, None]
             block = slice(c0, c1)
         if inverse:
-            out[block] = src[lin]
+            out[block] = src[lin.ravel()].reshape(lin.shape)
         else:
-            dst[lin] = flat[block]
+            dst[lin.ravel()] = flat[block].ravel()
     return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
 
 
@@ -552,9 +579,11 @@ def _bare(key: SecretKey) -> SecretKey:
 # schedule is kept with its stage-1 tables (built on first use); a new key's
 # schedule replaces it once derived.  The keystream grids of the two most
 # recent seeded keys are kept, so a decrypt after its encrypt recomputes
-# neither the seed nor the grids.  Stage-2 tables are not kept but built
-# a lane chunk at a time on every pass: all of them would take 8 MB even in
-# uint16 at n=7 with 16 images or at n=8 with 3, and 67 MB at n=9.
+# neither the seed nor the grids.  The schedule also keeps each stage-2
+# slot's strip layout (at most 295 KB at the benchmark geometries), but not
+# the stage-2 tables, which are built from it a lane chunk at a time on every
+# pass: all of them would take 8 MB even in uint16 at n=7 with 16 images or
+# at n=8 with 3, and 67 MB at n=9.
 # Threads may share both caches: lru_cache keeps its entries consistent, but
 # threads that miss together each derive the material.
 

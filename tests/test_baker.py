@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,20 @@ def test_iterate():
     assert iterate(part, pt, 3) == apply(part, apply(part, apply(part, pt)))
     with pytest.raises(ValueError):
         iterate(part, pt, -1)
+
+
+def test_permutation_table_allocates_one_full_size_array():
+    # the table is the build's one full-size array: the y-part rows are kept
+    # after the first call, and each per-column array is 2**n entries
+    part = unrank(8, 123456789)
+    permutation_table(part)
+    tracemalloc.start()
+    try:
+        table = permutation_table(part)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.25 * table.nbytes, f"peak {peak / table.nbytes:.2f}x the table"
 
 
 def test_permutation_table_matches_scalar():

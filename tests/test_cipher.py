@@ -9,6 +9,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from bakermic import baker as baker_module
 from bakermic import cipher as cipher_module
 from bakermic.baker import count_partitions, permutation_table, unrank
 from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
@@ -18,6 +19,7 @@ from bakermic.cipher import (
     KeySchedule,
     ScheduleParams,
     _draws,
+    _power,
     _tables,
     SecretKey,
     decrypt,
@@ -466,9 +468,9 @@ def scatter(values, table, times=1):
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
     # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
-    # in the intp of stage 2 and the narrow type of the stage-1 tables;
-    # each selection alone takes the one-row path.  _tables reads no
-    # _CHUNK, so the tables hold whatever chunk _permute is given
+    # in intp and in the narrow type of the stage-1 tables; each selection
+    # alone must give the same row.  _tables reads no _CHUNK, so the tables
+    # hold whatever chunk _permute is given
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
@@ -484,6 +486,56 @@ def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
             assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, r)), (rank, r)
             (alone,) = _tables(n, [(rank, r)], dtype)
             assert alone.dtype == dtype and np.array_equal(alone, row), (rank, r)
+
+
+@pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
+    # every rounds value 0..2n+1 with repeated ranks, fetched in _permute's
+    # chunks: one slot per chunk at _CHUNK = 1 (the powered table itself),
+    # several at the default (powered row by row in place)
+    monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
+    rng = random.Random(n)
+    rounds = list(range(2 * n + 2)) * 2
+    rng.shuffle(rounds)
+    ranks = [rng.randrange(count_partitions(n)) for _ in range(3)]
+    sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
+    sched = KeySchedule(n=n, k=0, stage1=stage1_array([]), stage2=sels)
+    size = 1 << (2 * n)
+    step = max(1, cipher_module._CHUNK // size)
+    rows = np.concatenate([sched.stage2_rows(c0, min(c0 + step, len(sels))) for c0 in range(0, len(sels), step)])
+    assert rows.dtype == np.intp and rows.shape == (len(sels), size)
+    for (rank, r), row in zip(sels, rows):
+        assert np.array_equal(row, _power(permutation_table(unrank(n, rank)), r)), (rank, r)
+    for array in sched.stage2_layout:
+        assert array.shape == (len(sels), 1 << n)
+        with pytest.raises(ValueError, match="read-only"):
+            array += 1
+
+
+def test_no_pass_repeats_partition_work(monkeypatch):
+    # each slot's partition is unranked once per key, into the schedule's
+    # strip layout; later passes under the key build tables from it alone
+    calls = {"unrank": 0, "permutation_table": 0}
+    for name in calls:
+        original = getattr(baker_module, name)
+
+        def counted(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(baker_module, name, counted)
+    key = make_key(n=4, m_prime=3, bit_depth=8, rng=random.Random(21))
+    plain = random_images(n=4, count=3, seed=21, bit_depth=8)
+    sched = derive_schedule(key)
+    scramble_positions(decompose(plain), sched)
+    assert calls == {"unrank": len(sched.stage2), "permutation_table": 0}
+    cipher_module._schedule.cache_clear()
+    cipher, updated = encrypt(plain, key)
+    calls.update(unrank=0, permutation_table=0)
+    back, stray = decrypt(cipher, updated)
+    assert stray == 0 and np.array_equal(back.pixels, plain.pixels)
+    assert calls == {"unrank": 0, "permutation_table": 0}
 
 
 def test_stage1_tables_are_read_only():
