@@ -119,14 +119,14 @@ def strip_layout(n: int, qs: "tuple[int, ...]") -> tuple[np.ndarray, np.ndarray]
 
 
 def strip_tables(n: int, low: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Tables of the maps whose strip layouts are (low, cols), one per row of low.
+    """Table of the map whose strip layout is (low, cols).
 
-    low and cols have shape (..., 2**n); the result has shape (..., 4**n),
+    low and cols are 1-D, of length 2**n; the result is 1-D, of length 4**n,
     in intp, and is the one full-size array the build allocates.
     """
     table = _rows(n)[low]
-    table += cols[..., None]
-    return table.reshape(*low.shape[:-1], -1)
+    table += cols[:, None]
+    return table.ravel()
 
 
 def permutation_table(part: BakerPartition) -> np.ndarray:

@@ -75,6 +75,13 @@ def cmd_encrypt(args) -> int:
     key = read_key(args.key)
     _check_savable(key.k)
     images = load_multi(args.inp)
+    # the key file holds the only copy of the sums its earlier ciphertext needs
+    if key.intensity_sum is not None and (key.intensity_sum, key.bit_count) != chaos.derive_seed(images):
+        raise ValueError(
+            f"{args.key} already carries the plaintext sums of another image set, and "
+            "overwriting them would leave its ciphertext undecryptable; encrypt with a "
+            "copy of the key made before its first encrypt, or draw a new key"
+        )
     cipher, updated = encrypt(images, key)
     save_multi(cipher, args.out)
     write_key(updated, args.key)
@@ -93,6 +100,12 @@ def cmd_decrypt(args) -> int:
         print(
             f"warning: {stray} set bits left in padding slots; "
             "wrong key or corrupted ciphertext",
+            file=sys.stderr,
+        )
+    if chaos.derive_seed(images) != (key.intensity_sum, key.bit_count):
+        print(
+            "warning: the recovered images do not have the plaintext sums the key "
+            "carries; wrong key or corrupted ciphertext",
             file=sys.stderr,
         )
     save_multi(images, args.out)

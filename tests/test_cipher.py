@@ -400,8 +400,8 @@ def test_scramble_stage2_roundtrip_and_slices():
 
 @pytest.mark.parametrize("chunk", [1, 50])
 def test_chunk_size_never_changes_the_bytes(monkeypatch, tmp_path, chunk):
-    # chunks only split _permute's lane loop: every known answer holds when
-    # both stages move their lanes a few entries at a time
+    # chunks only split stage 1's pixel loop (stage 2 goes one slot at a
+    # time): every known answer holds when its fibres move a few at a time
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     path = tmp_path / "set.key"
     for case, want in KAT.items():
@@ -418,8 +418,8 @@ def test_chunk_size_never_changes_the_bytes(monkeypatch, tmp_path, chunk):
 
 
 # kat_case digests at the benchmark geometries, which the KATs (n <= 4) do
-# not reach: at the default _CHUNK each stage-2 chunk holds one lane at
-# n = 8 (oneshot-n8) and two lanes at n = 7 (battery-k4, k = 4)
+# not reach: n = 8 with 3 images (oneshot-n8) and n = 7 with 16 (battery-k4,
+# k = 4)
 BENCHMARK_KAT = {
     (8, 3, 8): (
         "be433695b47cbf2526a4eb21aa12a1f92a7afee043108377bcb4cfd8a4230f65",
@@ -469,8 +469,8 @@ def scatter(values, table, times=1):
 def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
     # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
     # in intp and in the narrow type of the stage-1 tables; each selection
-    # alone must give the same row.  _tables reads no _CHUNK, so the tables
-    # hold whatever chunk _permute is given
+    # alone must give the same row.  _tables reads no _CHUNK, so the rows
+    # hold whatever chunk stage 1's _permute is given
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
@@ -491,9 +491,9 @@ def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
 @pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
-    # every rounds value 0..2n+1 with repeated ranks, fetched in _permute's
-    # chunks: one slot per chunk at _CHUNK = 1 (the powered table itself),
-    # several at the default (powered row by row in place)
+    # every rounds value 0..2n+1 with repeated ranks, one slot at a time;
+    # stage 2 reads no _CHUNK, so each table holds at any chunk.  Each is a
+    # fresh, writable intp array, apart from the layout and baker._rows
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
@@ -501,12 +501,12 @@ def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
     ranks = [rng.randrange(count_partitions(n)) for _ in range(3)]
     sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
     sched = KeySchedule(n=n, k=0, stage1=stage1_array([]), stage2=sels)
-    size = 1 << (2 * n)
-    step = max(1, cipher_module._CHUNK // size)
-    rows = np.concatenate([sched.stage2_rows(c0, min(c0 + step, len(sels))) for c0 in range(0, len(sels), step)])
-    assert rows.dtype == np.intp and rows.shape == (len(sels), size)
-    for (rank, r), row in zip(sels, rows):
-        assert np.array_equal(row, _power(permutation_table(unrank(n, rank)), r)), (rank, r)
+    kept = (*sched.stage2_layout, baker_module._rows(n))
+    for s, (rank, r) in enumerate(sels):
+        table = sched.stage2_table(s)
+        assert table.dtype == np.intp and table.shape == (1 << (2 * n),) and table.flags.writeable
+        assert not any(np.shares_memory(table, array) for array in kept), (rank, r)
+        assert np.array_equal(table, _power(permutation_table(unrank(n, rank)), r)), (rank, r)
     for array in sched.stage2_layout:
         assert array.shape == (len(sels), 1 << n)
         with pytest.raises(ValueError, match="read-only"):

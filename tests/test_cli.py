@@ -89,6 +89,83 @@ def test_decrypt_warns_on_wrong_key(tmp_path, capsys):
     assert "warning" in capsys.readouterr().err
 
 
+def test_encrypt_refuses_a_key_carrying_another_plaintext(tmp_path, capsys, monkeypatch):
+    # a second image set under one key file would overwrite the only copy of
+    # the first set's sums; re-encrypting the first set stays allowed
+    key = tmp_path / "k.key"
+    assert run("keygen", "--key", str(key), "--n", "3", "--images", "3", "--seed", "7") == 0
+    plains, ciphers = [], []
+    for seed in (1, 2):
+        plains.append(tmp_path / f"p{seed}" / "set.txt")
+        plains[-1].parent.mkdir()
+        save_multi(random_images(n=3, count=3, seed=seed), plains[-1])
+        ciphers.append(tmp_path / f"c{seed}" / "set.txt")
+        ciphers[-1].parent.mkdir()
+    assert run("encrypt", "--in", str(plains[0]), "--key", str(key), "--out", str(ciphers[0])) == 0
+    before = key.read_bytes()
+    first = {p.name: p.read_bytes() for p in ciphers[0].parent.iterdir()}
+    assert run("encrypt", "--in", str(plains[0]), "--key", str(key), "--out", str(ciphers[0])) == 0
+    assert key.read_bytes() == before
+    assert {p.name: p.read_bytes() for p in ciphers[0].parent.iterdir()} == first
+
+    def no_work(*args):
+        raise AssertionError("the cipher ran before the refusal")
+
+    monkeypatch.setattr("bakermic.cli.encrypt", no_work)
+    capsys.readouterr()
+    for out in ciphers:
+        assert run("encrypt", "--in", str(plains[1]), "--key", str(key), "--out", str(out)) == 2
+        err = capsys.readouterr().err
+        assert "already carries the plaintext sums of another image set" in err and "draw a new key" in err
+        assert key.read_bytes() == before
+    assert list(ciphers[1].parent.iterdir()) == []
+    assert {p.name: p.read_bytes() for p in ciphers[0].parent.iterdir()} == first
+
+    back = tmp_path / "back" / "set.txt"
+    back.parent.mkdir()
+    assert run("decrypt", "--in", str(ciphers[0]), "--key", str(key), "--out", str(back)) == 0
+    assert capsys.readouterr().err == ""
+    assert np.array_equal(load_multi(back).pixels, load_multi(plains[0]).pixels)
+
+
+def test_decrypt_warns_when_the_plaintext_sums_differ(tmp_path, capsys):
+    # eight 8-bit images fill the stack, so no padding bit can signal a wrong
+    # key or a flipped ciphertext bit; the key's plaintext sums still do
+    plain = tmp_path / "plain.txt"
+    save_multi(random_images(n=3, count=8, seed=31), plain)
+    key = tmp_path / "k.key"
+    assert run("keygen", "--key", str(key), "--n", "3", "--images", "8", "--seed", "5") == 0
+    cipher = tmp_path / "c" / "set.txt"
+    cipher.parent.mkdir()
+    assert run("encrypt", "--in", str(plain), "--key", str(key), "--out", str(cipher)) == 0
+
+    flipped = tmp_path / "f" / "set.txt"
+    flipped.parent.mkdir()
+    damaged = load_multi(cipher)
+    damaged.pixels[0, 0, 0] ^= 1
+    save_multi(damaged, flipped)
+
+    wrong = tmp_path / "wrong.key"
+    assert run("keygen", "--key", str(wrong), "--n", "3", "--images", "8", "--seed", "6") == 0
+    good = read_key(key)
+    wrong.write_text(wrong.read_text() + f"intensity_sum = {good.intensity_sum}\nbit_count = {good.bit_count}\n")
+
+    for manifest, key_file, warned in ((cipher, key, False), (flipped, key, True), (cipher, wrong, True)):
+        out = tmp_path / "o" / "set.txt"
+        out.parent.mkdir(exist_ok=True)
+        capsys.readouterr()
+        assert run("decrypt", "--in", str(manifest), "--key", str(key_file), "--out", str(out)) == 0
+        err = capsys.readouterr().err
+        if warned:
+            assert err == (
+                "warning: the recovered images do not have the plaintext sums the key "
+                "carries; wrong key or corrupted ciphertext\n"
+            )
+        else:
+            assert err == ""
+            assert np.array_equal(load_multi(out).pixels, load_multi(plain).pixels)
+
+
 def _bad_field_cycle(tmp_path, field, value):
     """Encrypt three 8x8 images, then set one field of the key file to value."""
     plain, key = tmp_path / "plain.txt", tmp_path / "k.key"
