@@ -188,9 +188,11 @@ def write_atomic(path: str | os.PathLike, data: bytes) -> None:
 
     The bytes go to a temporary file in the same directory (mode 0600, from
     mkstemp), which then replaces path in one step, so a failed write leaves
-    any old file intact and no temporary file behind.  A symlink is followed
-    to the file it names; a device or pipe (say /dev/null) is written in
-    place, since it cannot be replaced.
+    any old file intact and no temporary file behind.  Neither the file nor
+    its directory is fsynced, so this holds when the process fails, but not
+    across a power loss.  A symlink is followed to the file it names; a
+    device or pipe (say /dev/null) is written in place, since it cannot be
+    replaced.
     """
     path = os.path.realpath(path)
     if os.path.exists(path) and not os.path.isfile(path):

@@ -25,7 +25,6 @@ from .brqmi import _split_planes
 from .chaos import (
     DegenerateKeyError,
     HenonSineParams,
-    RankPerms,
     derive_seed,
     distinct_sequence,
     henon_orbit,
@@ -38,20 +37,16 @@ KEY_VERSION = 1
 
 
 @dataclass(frozen=True)
-class ImageParams:
-    """Per-image chaotic parameters: lambda pair plus the 10**q scale."""
+class ImageParams(HenonSineParams):
+    """Per-image chaotic parameters: the orbit's lambda pair plus the 10**q scale."""
 
-    lambda1: float
-    lambda2: float
     q: int
 
 
 @dataclass(frozen=True)
-class ScheduleParams:
-    """Generator parameters of one schedule stage: lambda pair and seed."""
+class ScheduleParams(HenonSineParams):
+    """Generator parameters of one schedule stage: the orbit's lambda pair and seed."""
 
-    lambda1: float
-    lambda2: float
     x0: float
     y0: float
 
@@ -101,7 +96,7 @@ class SecretKey:
         named = [(f"image {m}", ip) for m, ip in enumerate(self.image_params)]
         for name, p in named + [("stage_a", self.stage_a), ("stage_b", self.stage_b)]:
             try:
-                HenonSineParams(p.lambda1, p.lambda2).validate()
+                p.validate()
             except ValueError as exc:
                 raise ValueError(f"{name} {exc}") from None
         if not all(4 <= ip.q <= 15 for ip in self.image_params):
@@ -298,12 +293,10 @@ class KeySchedule:
     with partitions on the 2**k (image, plane) lattice.  stage2 has one pair of
     ints per (image, plane) slot, with partitions on the 2**n pixel lattice.
 
-    stage1_rows (a chunk of pixels) and stage2_table (one slot) alone decide
-    which forward tables are kept and which are rebuilt; each returns a fresh
-    array, which the caller may overwrite.  stage1_rows gathers from the
-    cached, read-only stage1_tables; stage2_table builds an intp table from
-    the cached, read-only stage2_layout, so no pass repeats a slot's
-    partition work.
+    stage1_tables holds every stage-1 forward table, built on first use and
+    kept, read-only.  stage2_table builds one slot's forward table, a fresh
+    intp array the caller may overwrite, from the cached, read-only
+    stage2_layout, so no pass repeats a slot's partition work.
     """
 
     n: int
@@ -315,9 +308,11 @@ class KeySchedule:
     def stage1_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, tables): pixel p moves its fibre by tables[codes[p]].
 
-        One powered table per distinct selection, built on first use and
-        kept, read-only, for every later stage-1 pass under this schedule.
-        Both arrays use the narrowest unsigned type that holds their values.
+        One table per distinct selection (rank, rounds): the base table of
+        each distinct rank is built once, and each row is that base powered
+        on its own.  Built on first use and kept, read-only, for every later
+        stage-1 pass under this schedule.  Both arrays use the narrowest
+        unsigned type that holds their values.
         """
         rank, rounds = self.stage1["rank"], self.stage1["rounds"]
         span = int(rounds.max()) + 1
@@ -325,14 +320,12 @@ class KeySchedule:
         keys, codes = np.unique(rank.astype(np.int64) * span + rounds.astype(np.int64), return_inverse=True)
         sels = [divmod(key, span) for key in keys.tolist()]
         codes = codes.astype(np.min_scalar_type(len(keys) - 1))
-        tables = _tables(self.k, sels, np.min_scalar_type((1 << (2 * self.k)) - 1))
+        bases = {r: baker.permutation_table(baker.unrank(self.k, r)) for r in dict.fromkeys(r for r, _ in sels)}
+        tables = np.empty((len(sels), 1 << (2 * self.k)), np.min_scalar_type((1 << (2 * self.k)) - 1))
+        for row, (r, times) in zip(tables, sels):
+            row[:] = _power(bases[r], times)
         codes.flags.writeable = tables.flags.writeable = False
         return codes, tables
-
-    def stage1_rows(self, c0: int, c1: int) -> np.ndarray:
-        """Forward tables of pixels c0..c1-1, rows of stage1_tables."""
-        codes, tables = self.stage1_tables
-        return tables[codes[c0:c1]]
 
     @functools.cached_property
     def stage2_layout(self) -> tuple[np.ndarray, np.ndarray]:
@@ -373,16 +366,16 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     past 64 bits.  Only the recurrence runs in Python, in chaos.henon_orbit,
     which fills a block of draws at a time.  numpy turns each block into words
     with the same IEEE operations and reduces them by Horner's rule with
-    2**32 % modulus, in int64 when no intermediate can overflow it and on
-    Python ints otherwise.
+    2**32 % modulus, in int64 when no intermediate can overflow it (modulus
+    below 2**31) and on Python ints otherwise.
     """
+    r_max = min(r_max, 1 << 32)  # every word is below 2**32, so a larger cap gives the same rounds
     words = (modulus.bit_length() + 64 + 31) // 32
     stride = words + 1
     mult = (1 << 32) % modulus
-    dtype = np.int64 if max(modulus, r_max) < 1 << 31 else object
-    p = HenonSineParams(params.lambda1, params.lambda2)
-    orbit = henon_orbit((params.x0, params.y0), p, min(count, _BLOCK) * stride)
-    fields = [("rank", np.min_scalar_type(modulus - 1)), ("rounds", np.min_scalar_type(min(r_max, 1 << 32)))]
+    dtype = np.int64 if modulus < 1 << 31 else object
+    orbit = henon_orbit((params.x0, params.y0), params, min(count, _BLOCK) * stride)
+    fields = [("rank", np.min_scalar_type(modulus - 1)), ("rounds", np.min_scalar_type(r_max))]
     out = np.empty(count, fields)
     for c0 in range(0, count, _BLOCK):
         steps = min(_BLOCK, count - c0) * stride
@@ -451,40 +444,27 @@ def _power(table: np.ndarray, rounds: int) -> np.ndarray:
     return out
 
 
-def _tables(n: int, sels: list[tuple[int, int]], dtype) -> np.ndarray:
-    """Stage-1 forward tables, row i being unrank(n, rank_i) applied rounds_i times.
-
-    One base table is built per distinct rank, and each row is powered on its
-    own and stored as dtype, the narrowest unsigned type for the stage-1
-    tables a schedule keeps.
-    """
-    bases = {rank: baker.permutation_table(baker.unrank(n, rank)) for rank in dict.fromkeys(r for r, _ in sels)}
-    out = np.empty((len(sels), 1 << (2 * n)), dtype=dtype)
-    for row, (rank, r) in zip(out, sels):
-        row[:] = _power(bases[rank], r)
-    return out
-
-
 def _permute(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
     In the bit tensor viewed as (slot, pixel), pixel p's fibre is column p.
     Pixels go in chunks of about _CHUNK index entries, and at least one
-    pixel.  Each chunk's stage1_rows become one flat, C-ordered intp index
-    into the whole tensor, so numpy takes its fast 1-D path.  Forward
-    scatters with a pixel's table (out[t[i]] = fibre[i]), the inverse
-    gathers (out[i] = fibre[t[i]]).
+    pixel.  Each chunk's rows of stage1_tables become one flat, C-ordered
+    intp index into the whole tensor, so numpy takes its fast 1-D path.
+    Forward scatters with a pixel's table (out[t[i]] = fibre[i]), the
+    inverse gathers (out[i] = fibre[t[i]]).
     """
     flat = stack.bits.reshape(stack.stack_side**2, -1)
     slots, pixels = flat.shape
     src = flat.ravel()
     out = np.empty_like(flat)
     dst = out.ravel()
+    codes, tables = sched.stage1_tables
     step = max(1, _CHUNK // slots)
     for c0 in range(0, pixels, step):
         c1 = min(c0 + step, pixels)
         # without order="C" the transposed copy keeps F order, and ravel copies it again
-        lin = sched.stage1_rows(c0, c1).T.astype(np.intp, order="C")
+        lin = tables[codes[c0:c1]].T.astype(np.intp, order="C")
         lin *= pixels
         lin += np.arange(c0, c1)
         if inverse:
@@ -537,16 +517,6 @@ def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitP
 # Diffusion
 
 
-def image_rank_perms(key: SecretKey, seed: tuple[float, float], m: int) -> RankPerms:
-    """Rank permutations for stack image m from the orbit seed (x0, y0); padded images reuse m mod M'."""
-    ip = key.image_params[m % key.m_prime]
-    try:
-        xs, ys = distinct_sequence(seed, HenonSineParams(ip.lambda1, ip.lambda2), count=1 << key.n)
-    except DegenerateKeyError as exc:
-        raise DegenerateKeyError(exc.count, exc.found, exc.iterations, exc.cycled, image=m) from None
-    return rank_perms(xs, ys)
-
-
 def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...], stats: dict | None = None) -> BitPlaneStack:
     """XOR the keystream grids over every bit site; self-inverse by construction.
 
@@ -596,15 +566,21 @@ def _schedule(key: SecretKey) -> KeySchedule:
 def _grids(key: SecretKey) -> tuple[np.ndarray, ...]:
     """Keystream grid of each source image 0..M'-1, in that order, under a seeded key.
 
-    The orbits start at the seed that seed_from_sums makes from the key's
-    plaintext sums; a key without them is refused.
+    Every image's orbit starts at the seed that seed_from_sums makes from
+    the key's plaintext sums; a key without them is refused, and an orbit
+    that degenerates is refused with its image named.
     """
     if key.intensity_sum is None:
         raise ValueError("key carries no plaintext statistics; encrypt first")
     seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
-    return tuple(
-        keystream_grid(image_rank_perms(key, seed, m), key.image_params[m].q, key.k) for m in range(key.m_prime)
-    )
+    grids = []
+    for m, ip in enumerate(key.image_params):
+        try:
+            xs, ys = distinct_sequence(seed, ip, count=1 << key.n)
+        except DegenerateKeyError as exc:
+            raise DegenerateKeyError(exc.count, exc.found, exc.iterations, exc.cycled, image=m) from None
+        grids.append(keystream_grid(rank_perms(xs, ys), ip.q, key.k))
+    return tuple(grids)
 
 
 def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:

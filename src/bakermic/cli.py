@@ -134,6 +134,25 @@ def _set_metrics(report: analysis.MetricsReport, images: MultiImage, seed: int) 
 
 
 def cmd_analyze(args) -> int:
+    # every refusal that needs no input file comes before any is read
+    if args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
+    if args.inp2 is not None:
+        unused = [flag for flag in ("key", "block", "density") if getattr(args, flag) is not None]
+        if unused:
+            raise UsageError(f"pair mode (--in2) takes no {', '.join('--' + f for f in unused)}")
+    elif args.key is None:
+        raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
+    block = None
+    if args.block is not None:
+        try:
+            block = tuple(int(v) for v in args.block.split(","))
+        except ValueError:
+            block = ()
+        if len(block) != 4:
+            raise UsageError(f"--block wants x,y,width,height as integers, got {args.block!r}")
+    if args.density is not None:
+        analysis.check_density(args.density)
     report = analysis.MetricsReport()
     if args.inp2 is not None:
         a = load_multi(args.inp)
@@ -141,29 +160,21 @@ def cmd_analyze(args) -> int:
         if a.pixels.shape != b.pixels.shape or a.bit_depth != b.bit_depth:
             raise ValueError("the two image sets must share shape and depth")
     else:
-        if args.key is None:
-            raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
         key = read_key(args.key)
         plain = load_multi(args.inp)
-        if args.block is not None:
-            block = tuple(int(v) for v in args.block.split(","))
-            if len(block) != 4:
-                raise UsageError("--block wants x,y,width,height")
+        if block is not None:
             analysis.check_block(block, plain.side)
-        if args.density is not None:
-            analysis.check_density(args.density)
         a, key1 = encrypt(plain, key)
         b, _ = encrypt(_flip_one_bit(plain), key)
     _set_metrics(report, a, args.seed)
     report.npcr, report.uaci = analysis.npcr_uaci(a.pixels, b.pixels, a.bit_depth)
     report.bit_diff = analysis.bit_difference_rate(a.pixels, b.pixels, a.bit_depth)
-    if args.inp2 is None:
-        if args.block is not None:
-            series = analysis.occlusion_test(a, key1, plain, block)
-            report.psnr_series["occlusion"] = list(series)
-        if args.density is not None:
-            series = analysis.noise_test(a, key1, plain, args.density, seed=args.seed)
-            report.psnr_series[f"noise_{args.density:g}"] = list(series)
+    if block is not None:
+        series = analysis.occlusion_test(a, key1, plain, block)
+        report.psnr_series["occlusion"] = list(series)
+    if args.density is not None:
+        series = analysis.noise_test(a, key1, plain, args.density, seed=args.seed)
+        report.psnr_series[f"noise_{args.density:g}"] = list(series)
     _write_text(args.out, report.render())
     return 0
 

@@ -13,14 +13,13 @@ from bakermic import baker as baker_module
 from bakermic import cipher as cipher_module
 from bakermic.baker import count_partitions, permutation_table, unrank
 from bakermic.brqmi import MultiImage, decompose, load_multi, save_multi, write_pgm
-from bakermic.chaos import DegenerateKeyError, HenonSineParams, derive_seed, henon_sine_step, seed_from_sums
+from bakermic.chaos import DegenerateKeyError, derive_seed, distinct_sequence, henon_sine_step, rank_perms, seed_from_sums
 from bakermic.cipher import (
     ImageParams,
     KeySchedule,
     ScheduleParams,
     _draws,
     _power,
-    _tables,
     SecretKey,
     decrypt,
     derive_schedule,
@@ -28,7 +27,6 @@ from bakermic.cipher import (
     encrypt,
     float_to_hex,
     hex_to_float,
-    image_rank_perms,
     inverse_scramble_images_planes,
     inverse_scramble_positions,
     make_key,
@@ -319,18 +317,26 @@ def test_schedule_format():
     assert len(first) == len(set(pairs)) == len(wide.stage1_tables[1])
 
 
+def test_round_caps_past_the_word_range_give_one_schedule():
+    # every rounds word is below 2**32, so any cap from 2**32 up draws the same rounds
+    key = make_key(n=3, m_prime=3, bit_depth=8, rng=random.Random(5), r_max1=2**32)
+    at_words, past_words = derive_schedule(key), derive_schedule(dataclasses.replace(key, r_max1=2**40))
+    assert at_words.stage1.dtype == past_words.stage1.dtype
+    assert at_words.stage1.tolist() == past_words.stage1.tolist()
+    assert at_words.stage2 == past_words.stage2
+
+
 def stepped_draws(params, modulus, r_max, count):
     """Reference: _draws driven by henon_sine_step itself."""
-    p = HenonSineParams(params.lambda1, params.lambda2)
     x, y = params.x0, params.y0
     for _ in range(100):
-        x, y = henon_sine_step(x, y, p)
+        x, y = henon_sine_step(x, y, params)
     words = (modulus.bit_length() + 64 + 31) // 32
     out = []
     for _ in range(count):
         ws = []
         for _ in range(words + 1):
-            x, y = henon_sine_step(x, y, p)
+            x, y = henon_sine_step(x, y, params)
             ws.append(min(int((x + 1.0) * 0.5 * 4294967296.0), 0xFFFFFFFF))
         out.append((int.from_bytes(b"".join(w.to_bytes(4, "big") for w in ws[:-1]), "big") % modulus,
                     ws[-1] % r_max + 1))
@@ -467,9 +473,9 @@ def scatter(values, table, times=1):
 @pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
-    # every rounds value 0..2n+1 in one shuffled call, with repeated ranks,
-    # in intp and in the narrow type of the stage-1 tables; each selection
-    # alone must give the same row.  _tables reads no _CHUNK, so the rows
+    # every rounds value 0..2n+1 in one shuffled schedule, with repeated
+    # ranks, as stage-1 tables at k = n; each selection alone must give the
+    # same row.  stage1_tables reads no _CHUNK, so the rows
     # hold whatever chunk stage 1's _permute is given
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
@@ -478,14 +484,13 @@ def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
     ranks = [rng.randrange(count_partitions(n)) for _ in range(3)]
     sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
     size = 1 << (2 * n)
-    for dtype in (np.intp, np.min_scalar_type(size - 1)):
-        tables = _tables(n, sels, dtype)
-        assert tables.dtype == dtype and tables.shape == (len(sels), size)
-        for (rank, r), row in zip(sels, tables):
-            base = permutation_table(unrank(n, rank))
-            assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, r)), (rank, r)
-            (alone,) = _tables(n, [(rank, r)], dtype)
-            assert alone.dtype == dtype and np.array_equal(alone, row), (rank, r)
+    codes, tables = KeySchedule(n=0, k=n, stage1=stage1_array(sels), stage2=[]).stage1_tables
+    assert tables.dtype == np.min_scalar_type(size - 1) and tables.shape == (len(set(sels)), size)
+    for (rank, r), row in zip(sels, tables[codes]):
+        base = permutation_table(unrank(n, rank))
+        assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, r)), (rank, r)
+        _, (alone,) = KeySchedule(n=0, k=n, stage1=stage1_array([(rank, r)]), stage2=[]).stage1_tables
+        assert alone.dtype == tables.dtype and np.array_equal(alone, row), (rank, r)
 
 
 @pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
@@ -539,8 +544,8 @@ def test_no_pass_repeats_partition_work(monkeypatch):
 
 
 def test_stage1_tables_are_read_only():
-    # _permute writes into what stage1_rows hands it; the cached tables
-    # under the key must come through encrypt and decrypt unchanged
+    # the cached tables under the key must come through encrypt and
+    # decrypt unchanged
     key = fixed_small_key()
     plain = random_images(n=2, count=2, seed=12, bit_depth=4)
     sched = cipher_module._schedule(cipher_module._bare(key))
@@ -551,7 +556,6 @@ def test_stage1_tables_are_read_only():
     assert stray == 0 and np.array_equal(back.pixels, plain.pixels)
     assert cipher_module._schedule(cipher_module._bare(updated)) is sched
     assert np.array_equal(codes, before[0]) and np.array_equal(tables, before[1])
-    assert sched.stage1_rows(0, 4).flags.writeable
     for array in (codes, tables):
         with pytest.raises(ValueError, match="read-only"):
             array += 1
@@ -593,7 +597,7 @@ def test_diffuse_matches_scalar_keystream():
     out = diffuse(stack, cipher_module._grids(seeded(key, images)))
     side = 1 << key.n
     for m in range(1 << key.k):
-        perms = image_rank_perms(key, seed, m)
+        perms = rank_perms(*distinct_sequence(seed, key.image_params[m % key.m_prime], 1 << key.n))
         q = key.image_params[m % key.m_prime].q
         for l in range(1 << key.k):
             for x in range(side):

@@ -300,7 +300,8 @@ def test_analyze_checks_options_before_encrypting(tmp_path, capsys, monkeypatch)
     cases = [
         (("--block", "0,0,8"), 1, "--block wants x,y,width,height"),
         (("--block", "0,0,8,8,1"), 1, "--block wants x,y,width,height"),
-        (("--block", "0,0,a,8"), 2, "invalid literal"),
+        (("--block", "0,0,a,8"), 1, "--block wants x,y,width,height as integers"),
+        (("--block", "0,0,8.5,8"), 1, "--block wants x,y,width,height as integers"),
         (("--block=-1,0,4,4",), 2, "block out of range"),
         (("--block", "4,4,5,1"), 2, "block exceeds the image"),
         (("--density", "1.5"), 2, "density must be in [0, 1]"),
@@ -309,6 +310,25 @@ def test_analyze_checks_options_before_encrypting(tmp_path, capsys, monkeypatch)
     ]
     for flags, code, message in cases:
         assert run("analyze", "--in", str(plain), "--key", str(key), *flags) == code, flags
+        assert message in capsys.readouterr().err, flags
+
+
+def test_analyze_refuses_unusable_arguments_before_reading_any_file(tmp_path, capsys):
+    # no manifest or key exists: reading any of them would exit 2, not 1
+    missing = [str(tmp_path / name) for name in ("a.txt", "b.txt", "k.key")]
+    pair = ("--in", missing[0], "--in2", missing[1])
+    cases = [
+        (("--in", missing[0], "--key", missing[2], "--seed", "-1"), "--seed must be nonnegative"),
+        ((*pair, "--seed=-1"), "--seed must be nonnegative"),
+        ((*pair, "--key", missing[2]), "pair mode (--in2) takes no --key"),
+        ((*pair, "--block", "0,0,999,999"), "pair mode (--in2) takes no --block"),
+        ((*pair, "--density", "7"), "pair mode (--in2) takes no --density"),
+        ((*pair, "--block", "0,0,999,999", "--density", "7", "--key", missing[2]),
+         "pair mode (--in2) takes no --key, --block, --density"),
+        (("--in", missing[0], "--key", missing[2], "--block", "0,0,x,1"), "--block wants x,y,width,height"),
+    ]
+    for flags, message in cases:
+        assert run("analyze", *flags) == 1, flags
         assert message in capsys.readouterr().err, flags
 
 
