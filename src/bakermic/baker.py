@@ -83,14 +83,11 @@ def from_widths(widths: "list[int] | tuple[int, ...]") -> BakerPartition:
 
 
 def parse_widths(text: str) -> BakerPartition:
-    """Parse the comma-separated width form, e.g. '16,8,8,32,64,128'."""
-    parts = [p.strip() for p in text.split(",")]
+    """Parse the comma-separated width form, e.g. '16,8,8,32,64,128'; no entry may be empty."""
     try:
-        widths = [int(p) for p in parts if p]
+        widths = [int(p) for p in text.split(",")]  # int() allows whitespace around a number, not ""
     except ValueError as exc:
         raise ValueError(f"bad partition text {text!r}") from exc
-    if not widths:
-        raise ValueError(f"bad partition text {text!r}")
     return from_widths(widths)
 
 

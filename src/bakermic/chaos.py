@@ -14,7 +14,6 @@ to chebyshev.  Neither calls libm.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
@@ -60,7 +59,10 @@ class HenonSineParams:
 
 
 def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, float]:
-    """One step of the sine-wrapped Henon map; output stays in [-1, 1]^2."""
+    """One step of the sine-wrapped Henon map; output stays in [-1, 1]^2.
+
+    The scalar form that distinct_sequence, henon_sine_lyapunov and `appendix henon` step.
+    """
     x2 = math.sin(math.pi * p.lambda1 * (1.0 - HENON_A * x * x + y))
     y2 = math.sin(math.pi * p.lambda2 * (HENON_B * x))
     return x2, y2
@@ -255,31 +257,29 @@ class DegenerateKeyError(RuntimeError):
 
 
 _MAX_ITERATIONS = 10_000_000  # distinct_sequence's backstop behind Brent's test
+BURN_IN = 100  # steps every orbit takes from its seed before its first value is read
 
 
-def henon_orbit(seed: tuple[float, float], p: HenonSineParams, block: int):
-    """Yield the orbit after a 100-step burn-in as two lists (xs, ys) of `block` states.
+def henon_walk(state: tuple[float, float], p: HenonSineParams, steps: int) -> tuple[list[float], tuple[float, float]]:
+    """The x values of the `steps` states after `state`, and the last of those states.
 
-    The one copy of the cipher's recurrence, henon_sine_step with its constants
-    hoisted (same floats).  Every next() refills the same two lists in place.
+    henon_sine_step with its constants hoisted (same floats), for the burn-in
+    and the schedule; y is kept only as the loop's state.  Chained walks give
+    the stepped orbit.
     """
     pl1, pl2, a, b, sin = math.pi * p.lambda1, math.pi * p.lambda2, HENON_A, HENON_B, math.sin
-    x, y = seed
-    xs, ys = [0.0] * 100, [0.0] * 100  # the first fill is the burn-in, and is not yielded
-    for fill in itertools.count():
-        for i in range(len(xs)):
-            x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
-            xs[i], ys[i] = x, y
-        if fill:
-            yield xs, ys
-        else:
-            xs, ys = [0.0] * block, [0.0] * block
+    x, y = state
+    xs = [0.0] * steps
+    for i in range(steps):
+        x, y = sin(pl1 * (1.0 - a * x * x + y)), sin(pl2 * (b * x))
+        xs[i] = x
+    return xs, (x, y)
 
 
 def distinct_sequence(seed: tuple[float, float], p: HenonSineParams, count: int) -> tuple[list[float], list[float]]:
     """Collect the first `count` distinct orbit values on each coordinate.
 
-    Walks henon_orbit a block of `count` states at a time and records x and
+    Steps henon_sine_step from the state after the burn-in and records x and
     y values independently in order of first appearance (value equality, so
     ranks are well defined).  Raises DegenerateKeyError if the orbit fails
     to produce enough distinct values, which flags a degenerate parameter
@@ -292,10 +292,11 @@ def distinct_sequence(seed: tuple[float, float], p: HenonSineParams, count: int)
     # dicts keep their keys in order of first insertion: the values in order of first appearance
     seen_x: dict[float, None] = {}
     seen_y: dict[float, None] = {}
-    states = (s for block in henon_orbit(seed, p, count) for s in zip(*block))
+    _, (x, y) = henon_walk(seed, p, BURN_IN)
     # Brent: compare each state with one saved at the last power-of-two step (NaN: none yet)
     saved_x, saved_y, save_at = math.nan, math.nan, 1
-    for it, (x, y) in enumerate(itertools.islice(states, _MAX_ITERATIONS), start=1):
+    for it in range(1, _MAX_ITERATIONS + 1):
+        x, y = henon_sine_step(x, y, p)
         if len(seen_x) < count:
             seen_x[x] = None
         if len(seen_y) < count:
@@ -366,8 +367,7 @@ def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
 # Lyapunov estimation
 
 
-# Burn-in of both estimators, and the seed and length of henon_sine_lyapunov's orbit
-_LYAPUNOV_BURN_IN = 100
+# The seed and length of henon_sine_lyapunov's orbit
 _LYAPUNOV_SEED = (0.1, 0.1)
 _LYAPUNOV_STEPS = 20_000
 
@@ -383,7 +383,7 @@ def lyapunov_estimate(f, dfdx, x0: float, iterations: int) -> LyapunovEstimate:
     if iterations < 1:
         raise ValueError("iterations must be positive")
     x = x0
-    for _ in range(_LYAPUNOV_BURN_IN):
+    for _ in range(BURN_IN):
         x = f(x)
     total = 0.0
     used = 0
@@ -403,9 +403,7 @@ def lyapunov_estimate(f, dfdx, x0: float, iterations: int) -> LyapunovEstimate:
 
 def henon_sine_lyapunov(p: HenonSineParams) -> float:
     """Largest Lyapunov exponent of the 2-D step by tangent-vector growth."""
-    x, y = _LYAPUNOV_SEED
-    for _ in range(_LYAPUNOV_BURN_IN):
-        x, y = henon_sine_step(x, y, p)
+    _, (x, y) = henon_walk(_LYAPUNOV_SEED, p, BURN_IN)
     vx, vy = 1.0, 0.0
     total = 0.0
     for _ in range(_LYAPUNOV_STEPS):

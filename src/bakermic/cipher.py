@@ -23,11 +23,12 @@ from . import baker
 from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, stack_exponent, write_atomic
 from .brqmi import _split_planes
 from .chaos import (
+    BURN_IN,
     DegenerateKeyError,
     HenonSineParams,
     derive_seed,
     distinct_sequence,
-    henon_orbit,
+    henon_walk,
     keystream_grid,
     rank_perms,
     seed_from_sums,
@@ -363,8 +364,8 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     guard bits beyond the modulus width, so the reduction bias is far below
     observability, and its rounds one more word (mod r_max, plus 1, so at
     most 2**32).  Each field has the narrowest dtype that holds it, object
-    past 64 bits.  Only the recurrence runs in Python, in chaos.henon_orbit,
-    which fills a block of draws at a time.  numpy turns each block into words
+    past 64 bits.  Only the recurrence runs in Python, in chaos.henon_walk,
+    which walks a block of draws at a time.  numpy turns each block into words
     with the same IEEE operations and reduces them by Horner's rule with
     2**32 % modulus, in int64 when no intermediate can overflow it (modulus
     below 2**31) and on Python ints otherwise.
@@ -374,14 +375,13 @@ def _draws(params: ScheduleParams, modulus: int, r_max: int, count: int):
     stride = words + 1
     mult = (1 << 32) % modulus
     dtype = np.int64 if modulus < 1 << 31 else object
-    orbit = henon_orbit((params.x0, params.y0), params, min(count, _BLOCK) * stride)
+    _, state = henon_walk((params.x0, params.y0), params, BURN_IN)
     fields = [("rank", np.min_scalar_type(modulus - 1)), ("rounds", np.min_scalar_type(r_max))]
     out = np.empty(count, fields)
     for c0 in range(0, count, _BLOCK):
-        steps = min(_BLOCK, count - c0) * stride
-        xs, _ = next(orbit)
+        xs, state = henon_walk(state, params, min(_BLOCK, count - c0) * stride)
         # scaled is >= 0, so int64 truncation is int(); x = 1.0 clamps to the top word
-        scaled = (np.fromiter(xs, np.float64, steps) + 1.0) * 0.5 * 4294967296.0
+        scaled = (np.array(xs, np.float64) + 1.0) * 0.5 * 4294967296.0
         w = np.minimum(scaled, 4294967295.0).astype(np.int64).astype(dtype, copy=False).reshape(-1, stride)
         acc = np.zeros(len(w), dtype=dtype)
         for j in range(words):

@@ -98,8 +98,10 @@ def test_width_parsing():
         parse_widths("")
     with pytest.raises(ValueError):
         parse_widths("4,3,1")
-    with pytest.raises(ValueError, match="bad partition text '4,x'"):
-        parse_widths("4,x")
+    for text in ("4,x", "4,,4", "8,8,", ",8,8", "8, ,8"):
+        with pytest.raises(ValueError, match=f"bad partition text '{text}'"):
+            parse_widths(text)
+    assert parse_widths(" 8 ,8") == parse_widths("8,8")
     with pytest.raises(ValueError):
         from_widths((4, 2, 1))  # sums to 7
 

@@ -10,6 +10,7 @@ import pytest
 from bakermic import chaos
 from bakermic.brqmi import MultiImage
 from bakermic.chaos import (
+    BURN_IN,
     DegenerateKeyError,
     HenonSineParams,
     chebyshev,
@@ -18,9 +19,9 @@ from bakermic.chaos import (
     distinct_sequence,
     emit_chebyshev_table,
     emit_trajectory,
-    henon_orbit,
     henon_sine_lyapunov,
     henon_sine_step,
+    henon_walk,
     keystream_grid,
     lyapunov_estimate,
     rank_perms,
@@ -300,7 +301,7 @@ def test_degenerate_orbit_fails_at_its_cycle(monkeypatch):
 
 
 @pytest.mark.parametrize("block", [1, 7, 100])
-def test_henon_orbit_blocks_join_into_the_stepped_orbit(block):
+def test_henon_walk_blocks_join_into_the_stepped_orbit(block):
     p = HenonSineParams(3.3, 2.9)
     x, y = 0.37, -0.81
     for _ in range(100):
@@ -308,19 +309,20 @@ def test_henon_orbit_blocks_join_into_the_stepped_orbit(block):
     stepped = []
     for _ in range(3 * block):
         x, y = henon_sine_step(x, y, p)
-        stepped.append((x, y))
-    orbit = henon_orbit((0.37, -0.81), p, block)
+        stepped.append(x)
+    _, state = henon_walk((0.37, -0.81), p, BURN_IN)
     joined = []
     for _ in range(3):
-        xs, ys = next(orbit)
-        assert len(xs) == len(ys) == block
-        joined += zip(xs, ys)
+        xs, state = henon_walk(state, p, block)
+        assert len(xs) == block
+        joined += xs
     assert joined == stepped
+    assert state == (x, y)
 
 
 def test_only_chaos_names_sin():
     # math.sin is the one platform-dependent function the cipher calls, so it
-    # stays behind chaos.henon_orbit (and the scalar henon_sine_step)
+    # stays behind chaos.henon_walk (and the scalar henon_sine_step)
     offenders = []
     for path in sorted(Path(chaos.__file__).parent.glob("*.py")):
         if path.name == "chaos.py":
