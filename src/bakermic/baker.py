@@ -11,6 +11,7 @@ maps with a compact reversible-circuit realisation.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -83,12 +84,16 @@ def from_widths(widths: "list[int] | tuple[int, ...]") -> BakerPartition:
 
 
 def parse_widths(text: str) -> BakerPartition:
-    """Parse the comma-separated width form, e.g. '16,8,8,32,64,128'; no entry may be empty."""
-    try:
-        widths = [int(p) for p in text.split(",")]  # int() allows whitespace around a number, not ""
-    except ValueError as exc:
-        raise ValueError(f"bad partition text {text!r}") from exc
-    return from_widths(widths)
+    """Parse the comma-separated width form, e.g. '16,8,8,32,64,128'.
+
+    Each entry is ASCII digits, optionally with whitespace around them, so
+    an empty entry is refused, and so are the sign, underscores and non-ASCII
+    digits that int() would take.
+    """
+    entries = text.split(",")
+    if not all(re.fullmatch(r"\s*[0-9]+\s*", e) for e in entries):
+        raise ValueError(f"bad partition text {text!r}")
+    return from_widths([int(e) for e in entries])
 
 
 @lru_cache(maxsize=None)

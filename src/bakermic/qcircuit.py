@@ -30,7 +30,7 @@ def wire_name(n: int, wire: int) -> str:
 
 
 def parse_wire(n: int, name: str) -> int:
-    m = re.fullmatch(r"([xy])(\d+)", name)
+    m = re.fullmatch(r"([xy])([0-9]+)", name)
     if not m:
         raise ValueError(f"bad wire name {name!r}")
     j = int(m.group(2))
@@ -59,6 +59,8 @@ class Gate:
         ctl = tuple(sorted(((int(w), bool(v)) for w, v in self.controls), key=lambda c: -c[0]))
         object.__setattr__(self, "controls", ctl)
         wires = [w for w, _ in ctl]
+        if min(self.targets + tuple(wires)) < 0:
+            raise ValueError("wires must be nonnegative")
         if len(set(wires)) != len(wires):
             raise ValueError("duplicate control wire")
         if set(wires) & set(self.targets):
@@ -73,10 +75,14 @@ class Circuit:
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        for g in self.gates:
-            hi = max(g.targets + tuple(w for w, _ in g.controls))
-            if hi >= 2 * self.n:
-                raise ValueError(f"gate uses wire {hi}, but the circuit has {2 * self.n} wires")
+        _check_wires(self.n, self.gates)
+
+
+def _check_wires(n: int, gates: list[Gate]) -> None:
+    for g in gates:
+        for w in g.targets + tuple(w for w, _ in g.controls):
+            if not 0 <= w < 2 * n:
+                raise ValueError(f"gate uses wire {w}, but the circuit has {2 * n} wires")
 
 
 @dataclass(frozen=True)
@@ -213,29 +219,42 @@ def _emit_correction(
 def simulate_permutation(circuit: Circuit) -> np.ndarray:
     """Exact basis-state permutation computed by the circuit.
 
-    Returns an array P with P[v] = output state for input v over all
-    2**(2n) basis states.  Each gate is one in-place masked XOR of its two
-    target bits where they differ and every control bit holds its value.
-    Refuses circuits wider than 24 wires (2**24 states), before allocating.
+    Returns an int64 array P with P[v] = output state for input v over all
+    2**(2n) basis states.  P is viewed as a cube with one axis of length 2
+    per wire (axis 2n - 1 - j holds bit j), and the gates are walked last to
+    first, each composed on the right: P becomes P o g.  A gate fixes its
+    control axes, then swaps the block where its targets read (1, 0) with
+    the block where they read (0, 1), so it touches only the 2**(2n - c - 1)
+    states it can move.  Refuses circuits wider than 24 wires (2**24 states,
+    a 128 MB array) and gates on wires outside [0, 2n), before allocating.
     """
     n = circuit.n
     if 2 * n > 24:
         raise ValueError(f"n={n}: simulation is capped at 2**24 states (n <= 12)")
-    v = np.arange(1 << (2 * n), dtype=np.int64)
-    for g in circuit.gates:
-        swap = sum(1 << t for t in g.targets)
-        cmask = sum(1 << w for w, _ in g.controls)
-        cval = sum(1 << w for w, val in g.controls if val)
-        pair = v & swap
-        fire = (pair != 0) & (pair != swap) & ((v & cmask) == cval)
-        np.bitwise_xor(v, swap, out=v, where=fire)
-    return v
+    _check_wires(n, circuit.gates)  # the gate list may have changed since Circuit checked it
+    perm = np.arange(1 << (2 * n), dtype=np.int64)
+    cube = perm.reshape((2,) * (2 * n))  # axis 2n - 1 - j holds bit j
+    for g in reversed(circuit.gates):
+        idx: list = [slice(None)] * (2 * n)
+        for w, val in g.controls:
+            idx[2 * n - 1 - w] = int(val)
+        a, b = (2 * n - 1 - t for t in g.targets)
+        idx[a], idx[b] = 1, 0
+        one = cube[(*idx, ...)]  # the trailing ... keeps a fully fixed block a writable view
+        idx[a], idx[b] = 0, 1
+        other = cube[(*idx, ...)]
+        held = one.copy()
+        one[...] = other
+        other[...] = held
+    return perm
 
 
 def verify(circuit: Circuit, part: BakerPartition) -> bool:
     """Check the circuit against the map's whole-lattice permutation.
 
-    Raises ValueError above 2**24 states (n > 12), as simulate_permutation does.
+    Compares simulate_permutation's array with permutation_table's, so it
+    raises ValueError where that does: above 2**24 states (n > 12), or for a
+    gate on a wire outside the circuit.
     """
     if circuit.n != part.n:
         return False
@@ -276,7 +295,7 @@ def parse_text(text: str) -> Circuit:
             continue
         if line.startswith("#"):
             if n is None:
-                m = re.search(r"\bn=(\d+)\b", line)
+                m = re.search(r"\bn=([0-9]+)\b", line)
                 if m:
                     n = int(m.group(1))
             continue

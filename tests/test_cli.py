@@ -354,6 +354,8 @@ def test_partitions_commands(tmp_path, capsys):
     assert "inadmissible" in capsys.readouterr().out
     assert run("partitions", "check", "8,,8") == 2
     assert "bad partition text '8,,8'" in capsys.readouterr().err
+    assert run("partitions", "check", "1_6,+16") == 2  # int() would read 16,16
+    assert "bad partition text '1_6,+16'" in capsys.readouterr().err
     assert run("partitions", "list", "2") == 0
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert run("partitions", "list", "4") == 2  # capped at n = 3

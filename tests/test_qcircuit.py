@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -43,6 +45,10 @@ def test_gate_canonical_form():
         Gate(targets=(0, 1), controls=((2, True), (2, False)))
     with pytest.raises(ValueError):
         Gate(targets=(0, 1), controls=((1, True),))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Gate(targets=(-1, 0))
+    with pytest.raises(ValueError, match="nonnegative"):
+        Gate(targets=(0, 1), controls=((-1, True),))
 
 
 def test_circuit_wire_bounds():
@@ -72,22 +78,49 @@ def test_simulate_controlled_swap():
 
 
 def test_simulate_is_always_a_bijection():
+    # n = 0 is the empty circuit; a third of the gates with any free wire
+    # take every one of them as a control, leaving a block of one state.
     rng = np.random.default_rng(7)
-    for _ in range(20):
-        n = int(rng.integers(1, 5))
+    for n in [*range(7)] * 3:
         gates = []
-        for _ in range(int(rng.integers(0, 8))):
+        for _ in range(int(rng.integers(0, 41)) if n else 0):
             a, b = rng.choice(2 * n, size=2, replace=False)
             free = [w for w in range(2 * n) if w not in (a, b)]
-            ctl = ()
-            if free:
-                picks = rng.choice(free, size=int(rng.integers(0, len(free) + 1)), replace=False)
-                ctl = tuple((int(w), bool(rng.integers(2))) for w in picks)
+            kind = int(rng.integers(3))
+            size = (0, int(rng.integers(0, len(free) + 1)), len(free))[kind]
+            picks = rng.choice(free, size=size, replace=False) if free else []
+            ctl = tuple((int(w), bool(rng.integers(2))) for w in picks)
             gates.append(Gate(targets=(int(a), int(b)), controls=ctl))
         circ = Circuit(n=n, gates=gates)
         perm = simulate_permutation(circ)
+        assert perm.dtype == np.int64
         assert sorted(perm.tolist()) == list(range(1 << (2 * n)))
         assert perm.tolist() == [apply_gates(circ, v) for v in range(1 << (2 * n))]
+
+
+def test_simulate_refuses_a_wire_added_out_of_range():
+    # Circuit checks its wires only when built; the gate list stays mutable.
+    circ = Circuit(n=1)
+    circ.gates.append(Gate(targets=(0, 5)))
+    with pytest.raises(ValueError, match="wire 5"):
+        simulate_permutation(circ)
+    with pytest.raises(ValueError, match="wire 5"):
+        verify(circ, from_widths((1, 1)))
+
+
+def test_simulate_peak_memory_is_below_twice_the_states():
+    # The states are one int64 array of 2**20 entries (8 MB); a gate's swap
+    # holds at most two quarter-size copies of it (one is numpy's own, made
+    # because it cannot prove that the two interleaved blocks are disjoint).
+    circ = synthesize(unrank(10, 12345))
+    simulate_permutation(circ)
+    tracemalloc.start()
+    try:
+        simulate_permutation(circ)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * (8 << 20), f"peak {peak / (8 << 20):.2f}x the state array"
 
 
 def test_simulate_refuses_more_than_2_24_states():
@@ -204,6 +237,10 @@ def test_parse_text_errors():
         parse_text("# n=2\nCSWAP [x1] x0 y0\n")  # missing polarity sign
     with pytest.raises(ValueError):
         parse_text("# comment only\n")
+    with pytest.raises(ValueError):
+        parse_text("# n=\u0662\nSWAP y1 x0\n")  # ARABIC-INDIC DIGIT TWO in the header
+    with pytest.raises(ValueError, match="bad wire name"):
+        parse_text("# n=2\nSWAP y\u0661 x0\n")  # ARABIC-INDIC DIGIT ONE in a wire
 
 
 def test_parse_text_tolerates_comments_and_order():
