@@ -1,9 +1,9 @@
 """Multi-image encryption built on baker-map scrambling and chaotic diffusion.
 
-The pipeline packs a set of equally sized grayscale images into a single
-four-dimensional bit tensor, scrambles it with discrete baker maps realised
-as reversible SWAP/controlled-SWAP circuits, and diffuses the result with a
-keystream derived from coupled Chebyshev and Henon-sine dynamics.
+The pipeline packs a set of equally sized grayscale images into one padded
+bit-plane stack (the ciphertext's words), scrambles it with discrete baker
+maps realised as reversible SWAP/controlled-SWAP circuits, and diffuses the
+result with a keystream derived from coupled Chebyshev and Henon-sine dynamics.
 """
 
 __version__ = "0.1.0"

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .brqmi import MultiImage, _split_planes
+from .brqmi import MultiImage, _popcount
 from .cipher import SecretKey, decrypt
 
 DIRECTIONS = {
@@ -73,10 +73,11 @@ def npcr_uaci(a: np.ndarray, b: np.ndarray, bit_depth: int) -> tuple[float, floa
 
 
 def bit_difference_rate(a: np.ndarray, b: np.ndarray, bit_depth: int) -> float:
-    """Percent of differing bits between two equally shaped pixel arrays."""
+    """Percent of differing bits among the low bit_depth bits of two equally shaped pixel arrays."""
     x = np.bitwise_xor(a, b)
-    diff = int(np.count_nonzero(_split_planes(x[None], bit_depth)))
-    return 100.0 * diff / (x.size * bit_depth)
+    if bit_depth < 8 * x.itemsize:
+        x &= (1 << bit_depth) - 1  # bits at or above bit_depth are not pixel bits
+    return 100.0 * _popcount(x) / (x.size * bit_depth)
 
 
 def psnr(a: np.ndarray, b: np.ndarray, bit_depth: int) -> float:

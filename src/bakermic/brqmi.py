@@ -1,22 +1,22 @@
 """Bit-plane representation of multi-image sets.
 
 A set of M' square grayscale images of side 2**n with L-bit pixels becomes a
-four-dimensional binary tensor indexed (image, plane, x, y).  The image and
-plane axes are padded with zeros up to a common power of two 2**k so that the
-(image, plane) pair ranges over a square lattice of the same shape class as
-the pixel lattice; that symmetry is what lets the scrambling stage treat both
-lattices with the same machinery.
+stack of (image, plane) slots, held as the ciphertext's words: slot (i, l) is
+bit l of image i's pixels.  The image and plane axes are padded with zeros up
+to a common power of two 2**k so that the (image, plane) pair ranges over a
+square lattice of the same shape class as the pixel lattice; that symmetry is
+what lets the scrambling stage treat both lattices with the same machinery.
 
-Plane order (plane l holds bit l) is known here alone: _split_planes and
-_join_planes cut values into planes and join them back in the values' own
-dtype, and every other module that needs planes or bit counts calls them.
+Plane order (plane l holds bit l) is known here alone: _split_planes cuts
+values into planes, BitPlaneStack packs planes into words, _popcount counts
+set bits, and every other module that needs planes or bit counts calls them.
 """
 
 from __future__ import annotations
 
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,13 +42,12 @@ def _split_planes(values: np.ndarray, depth: int) -> np.ndarray:
     return planes
 
 
-def _join_planes(planes: np.ndarray) -> np.ndarray:
-    """Inverse of _split_planes: values[m] = OR of planes[m, l] << l, by shift and OR."""
-    dtype = _dtype_for_depth(planes.shape[1])
-    values = np.zeros((planes.shape[0],) + planes.shape[2:], dtype=dtype)
-    for l in range(planes.shape[1]):
-        values |= planes[:, l].astype(dtype) << l
-    return values
+_POP8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
+
+
+def _popcount(values: np.ndarray) -> int:
+    """Set bits of an array of nonnegative integers, by a byte table: one byte per byte, not per bit."""
+    return int(_POP8[np.ascontiguousarray(values).view(np.uint8)].sum(dtype=np.int64))
 
 
 @dataclass
@@ -96,68 +95,64 @@ class MultiImage:
         return 1 << self.n
 
 
-@dataclass
 class BitPlaneStack:
-    """Padded binary tensor bits[image, plane, x, y] with equal side 2**k.
+    """The padded stack of 2**k x 2**k (image, plane) slots, held as the ciphertext's words.
 
-    Plane 0 is the least significant bit.  Padded images (m >= m_prime) and
-    padded planes (l >= bit_depth) are zero until scrambling moves data into
-    them.
+    words has shape (2**k, 4**n) in the dtype of 2**k-bit pixels: row i holds
+    image i's pixels, and bit l of an entry is plane l.  Padded images
+    (m >= m_prime) and padded planes (l >= bit_depth) are zero until
+    scrambling moves data into them.  Tests and oracles may give, and read,
+    the uint8 tensor bits[image, plane, x, y] instead; it is packed.
     """
 
-    n: int
-    k: int
-    m_prime: int
-    bit_depth: int
-    bits: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        stack_side = 1 << self.k
-        side = 1 << self.n
-        if self.m_prime < 1 or self.m_prime > stack_side:
+    def __init__(self, n: int, k: int, m_prime: int, bit_depth: int, bits=None, *, words=None):
+        self.n, self.k, self.m_prime, self.bit_depth = n, k, m_prime, bit_depth
+        stack_side, side = 1 << k, 1 << n
+        if m_prime < 1 or m_prime > stack_side:
             raise ValueError("image count must fit the stack side")
-        if self.bit_depth < 1 or self.bit_depth > stack_side:
+        if bit_depth < 1 or bit_depth > stack_side:
             raise ValueError("bit depth must fit the stack side")
-        self.bits = np.asarray(self.bits, dtype=np.uint8)
-        expected = (stack_side, stack_side, side, side)
-        if self.bits.shape != expected:
-            raise ValueError(f"bit tensor must have shape {expected}")
-        if self.bits.size and int(self.bits.max()) > 1:
-            raise ValueError("bit tensor entries must be 0 or 1")
+        dtype = _dtype_for_depth(stack_side)
+        if bits is not None:
+            bits = np.asarray(bits, dtype=np.uint8)
+            expected = (stack_side, stack_side, side, side)
+            if bits.shape != expected:
+                raise ValueError(f"bit tensor must have shape {expected}")
+            if bits.size and int(bits.max()) > 1:
+                raise ValueError("bit tensor entries must be 0 or 1")
+            shifts = np.arange(stack_side, dtype=dtype)[:, None]
+            words = np.bitwise_or.reduce(bits.reshape(stack_side, stack_side, -1) << shifts, axis=1, dtype=dtype)
+        if words is None or words.shape != (stack_side, side * side) or words.dtype != dtype:
+            raise ValueError(f"words must have shape {(stack_side, side * side)} and dtype {dtype}")
+        self.words = words
 
     @property
     def stack_side(self) -> int:
         return 1 << self.k
 
-    def padding_bit_count(self) -> int:
-        """Number of set bits sitting in padding slots.
+    @property
+    def bits(self) -> np.ndarray:
+        """Read-only uint8 tensor bits[image, plane, x, y], unpacked afresh from words on every access."""
+        bits = _split_planes(self.words.reshape(self.stack_side, 1 << self.n, -1), self.stack_side)
+        bits.flags.writeable = False
+        return bits
 
-        Counted over two disjoint views, the padded images and the padded
-        planes of the real ones, so no padding slot is copied.
-        """
-        padded_images = self.bits[self.m_prime :]
-        padded_planes = self.bits[: self.m_prime, self.bit_depth :]
-        return int(np.count_nonzero(padded_images)) + int(np.count_nonzero(padded_planes))
+    def replace(self, **changes) -> BitPlaneStack:
+        """This stack with some of n, k, m_prime, bit_depth and words changed."""
+        return BitPlaneStack(**{**vars(self), **changes})
+
+    def padding_bit_count(self) -> int:
+        """Number of set bits sitting in padding slots: in the padded images' words and masked planes."""
+        low = self.words.dtype.type((1 << self.bit_depth) - 1)
+        return _popcount(self.words[self.m_prime :]) + _popcount(self.words[: self.m_prime] & ~low)
 
 
 def decompose(images: MultiImage) -> BitPlaneStack:
-    """Unpack pixel values into the padded bit tensor.
-
-    The plane axis stores binary expansions little-endian, so recombining
-    planes with weights 2**l reproduces the pixel values exactly.
-    """
+    """Pack pixel values into the padded stack: a zero-padded copy of the pixels' words."""
     k = stack_exponent(images.m_prime, images.bit_depth)
-    stack_side = 1 << k
-    side = images.side
-    bits = np.zeros((stack_side, stack_side, side, side), dtype=np.uint8)
-    bits[: images.m_prime, : images.bit_depth] = _split_planes(images.pixels, images.bit_depth)
-    return BitPlaneStack(
-        n=images.n,
-        k=k,
-        m_prime=images.m_prime,
-        bit_depth=images.bit_depth,
-        bits=bits,
-    )
+    words = np.zeros((1 << k, images.side**2), dtype=_dtype_for_depth(1 << k))
+    words[: images.m_prime] = images.pixels.reshape(images.m_prime, -1)
+    return BitPlaneStack(n=images.n, k=k, m_prime=images.m_prime, bit_depth=images.bit_depth, words=words)
 
 
 def recompose(stack: BitPlaneStack) -> MultiImage:
@@ -166,17 +161,19 @@ def recompose(stack: BitPlaneStack) -> MultiImage:
     Padding slots are ignored; stack.padding_bit_count() counts any set bits
     left there (after decryption, a sign of a wrong key).
     """
-    pixels = _join_planes(stack.bits[: stack.m_prime, : stack.bit_depth])
-    return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=pixels)
+    low = stack.words.dtype.type((1 << stack.bit_depth) - 1)
+    pixels = (stack.words[: stack.m_prime] & low).astype(_dtype_for_depth(stack.bit_depth))
+    return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=pixels.reshape(stack.m_prime, 1 << stack.n, -1))
 
 
 def recompose_all(stack: BitPlaneStack) -> MultiImage:
-    """Rebuild every stack slot, padding included.
+    """Rebuild every stack slot, padding included: a reshape of the words.
 
     Produces 2**k images of 2**k-bit pixels; that is the on-disk shape of
     ciphertext, where scrambling has moved live bits into padding slots.
     """
-    return MultiImage(n=stack.n, bit_depth=stack.stack_side, pixels=_join_planes(stack.bits))
+    side = 1 << stack.n
+    return MultiImage(n=stack.n, bit_depth=stack.stack_side, pixels=stack.words.reshape(-1, side, side))
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_nearest, to_float
 
-from .brqmi import MultiImage, _dtype_for_depth, _split_planes
+from .brqmi import MultiImage, _dtype_for_depth, _popcount
 
 
 # Fixed quadratic and shear coefficients of the sine-wrapped Henon step.
@@ -226,9 +226,7 @@ def seed_from_sums(
 
 def derive_seed(images: MultiImage) -> tuple[int, int]:
     """The exact sums (intensity_sum, bit_count) of an image set, which a key carries."""
-    intensity = int(images.pixels.sum())
-    bits = int(np.count_nonzero(_split_planes(images.pixels, images.bit_depth)))
-    return intensity, bits
+    return int(images.pixels.sum()), _popcount(images.pixels)
 
 
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
 """Key handling, key schedule, the two scrambling stages, and diffusion.
 
-Encryption decomposes the image set into the padded bit tensor, scrambles
-the (image, plane) fibre of every pixel with a keyed baker map, scrambles
-the pixel lattice of every (image, plane) slice with a second keyed baker
-map, XORs a chaotic keystream over every bit site, and recombines all tensor
-slots into 2**k ciphertext images.  Each stage is exactly invertible given
+Encryption packs the image set into the padded bit-plane stack (the
+ciphertext's words), scrambles the (image, plane) fibre of every pixel with
+a keyed baker map, scrambles the pixel lattice of every slice with a second
+keyed baker map, XORs a chaotic keystream over every bit site, and reads the
+words out as 2**k ciphertext images.  Each stage is exactly invertible given
 the key file, which carries the chaotic parameters, the schedule generator
 seeds, and the exact plaintext statistics the keystream was seeded from.
 """
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import baker
 from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, stack_exponent, write_atomic
-from .brqmi import _split_planes
 from .chaos import (
     BURN_IN,
     DegenerateKeyError,
@@ -295,9 +294,9 @@ class KeySchedule:
     ints per (image, plane) slot, with partitions on the 2**n pixel lattice.
 
     stage1_tables holds every stage-1 forward table, built on first use and
-    kept, read-only.  stage2_table builds one slot's forward table, a fresh
-    intp array the caller may overwrite, from the cached, read-only
-    stage2_layout, so no pass repeats a slot's partition work.
+    kept, read-only.  stage2_table builds one slot's forward table, in intp
+    the caller may overwrite, from the cached, read-only stage2_layout, so no
+    pass repeats a slot's partition work.
     """
 
     n: int
@@ -344,14 +343,10 @@ class KeySchedule:
         low.flags.writeable = cols.flags.writeable = False
         return low, cols
 
-    def stage2_table(self, s: int) -> np.ndarray:
-        """Forward table of slot s, built afresh in intp from stage2_layout on every call.
-
-        The result is the powered table itself, with no copy, so _power can
-        free the base table once it has squared it.
-        """
+    def stage2_table(self, s: int, pool: list | None = None) -> np.ndarray:
+        """Slot s's intp forward table from stage2_layout: fresh, or powered in pool (see _power) until its next use."""
         low, cols = self.stage2_layout
-        return _power(baker.strip_tables(self.n, low[s], cols[s]), self.stage2[s][1])
+        return _power(baker.strip_tables(self.n, low[s], cols[s]), self.stage2[s][1], pool)
 
 
 _BLOCK = 1024  # draws per block: the recurrence fills one block of floats, numpy reduces it
@@ -421,75 +416,82 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
 _CHUNK = 1 << 15  # entries per index temporary: 256 KiB of intp, so gathers stay in cache
 
 
-def _power(table: np.ndarray, rounds: int) -> np.ndarray:
+def _power(table: np.ndarray, rounds: int, pool: list | None = None) -> np.ndarray:
     """table, a 1-D intp forward table, applied `rounds` times.
 
-    Repeated squaring starts from table itself at the lowest set bit of
-    rounds, so no identity is composed; rounds 0 gives the identity.  Powers
-    of one map commute, so the order is free.  table is never written, and
-    the result may be table itself.
+    Powering goes from the top set bit of rounds down, starting from table
+    itself, so no identity is composed; each lower bit squares the power
+    and, when set, composes table once more.  rounds 0 gives the identity.
+    Each composition is a fresh array or, given pool (two intp arrays of
+    table's size), goes into the one not holding the power, so a pass that
+    shares a pool refetches no freed pages.  table is never written.
     """
     if not rounds:
         return np.arange(table.size, dtype=np.intp)
-    while not rounds & 1:
-        table = table[table]
-        rounds >>= 1
+
+    def compose(a, b):
+        return a[b] if pool is None else np.take(a, b, out=pool[b is pool[0]], mode="clip")
+
     out = table
-    rounds >>= 1
-    while rounds:
-        table = table[table]
-        if rounds & 1:
-            out = table[out]
-        rounds >>= 1
+    for bit in bin(rounds)[3:]:
+        out = compose(out, out)
+        if bit == "1":
+            out = compose(table, out)
     return out
 
 
 def _permute(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
-    In the bit tensor viewed as (slot, pixel), pixel p's fibre is column p.
-    Pixels go in chunks of about _CHUNK index entries, and at least one
-    pixel.  Each chunk's rows of stage1_tables become one flat, C-ordered
-    intp index into the whole tensor, so numpy takes its fast 1-D path.
-    Forward scatters with a pixel's table (out[t[i]] = fibre[i]), the
-    inverse gathers (out[i] = fibre[t[i]]).
+    Slot (i, l) of pixel p's fibre is bit l of words[i, p].  Pixels go in
+    chunks of about _CHUNK index entries, and at least one pixel, unpacked
+    by shift and mask into a (slot, pixel) block; the chunk's rows of
+    stage1_tables become one flat, C-ordered intp index into that block, so
+    numpy takes its fast 1-D path.  Forward scatters with a pixel's table
+    (moved[t[i]] = fibre[i]), the inverse gathers (moved[i] = fibre[t[i]]).
     """
-    flat = stack.bits.reshape(stack.stack_side**2, -1)
-    slots, pixels = flat.shape
-    src = flat.ravel()
-    out = np.empty_like(flat)
-    dst = out.ravel()
+    words, out = stack.words, np.empty_like(stack.words)
+    s, pixels = words.shape
     codes, tables = sched.stage1_tables
-    step = max(1, _CHUNK // slots)
+    shifts = np.arange(s, dtype=words.dtype)[:, None]
+    step = max(1, _CHUNK // s**2)
     for c0 in range(0, pixels, step):
         c1 = min(c0 + step, pixels)
-        # without order="C" the transposed copy keeps F order, and ravel copies it again
-        lin = tables[codes[c0:c1]].T.astype(np.intp, order="C")
-        lin *= pixels
-        lin += np.arange(c0, c1)
+        # without order="C" the product of the transposed rows keeps F order, and ravel copies it
+        lin = np.multiply(tables[codes[c0:c1]].T, c1 - c0, dtype=np.intp, order="C")
+        lin += np.arange(c1 - c0)
+        fibres = (words[:, None, c0:c1] >> shifts) & 1
         if inverse:
-            out[:, c0:c1] = src[lin.ravel()].reshape(lin.shape)
+            moved = fibres.ravel()[lin.ravel()].reshape(fibres.shape)
         else:
-            dst[lin.ravel()] = flat[:, c0:c1].ravel()
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+            moved = np.empty_like(fibres)
+            moved.ravel()[lin.ravel()] = fibres.ravel()
+        np.bitwise_or.reduce(moved << shifts, axis=1, out=out[:, c0:c1])
+    return stack.replace(words=out)
 
 
 def _permute_slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 2's kernel: permute each (image, plane) slice's pixels, one slice at a time.
 
-    Row s of the (slot, pixel) bit tensor moves alone by sched.stage2_table(s):
-    forward scatters (out[t[i]] = row[i]), the inverse gathers (out[i] = row[t[i]]).
+    Slice (i, l), bit l of row i of the words, moves alone by
+    sched.stage2_table(i * 2**k + l): forward scatters row i (moved[t[p]] =
+    row[p]), the inverse gathers it (moved[p] = row[t[p]]), and moved,
+    masked to bit l, is ORed into row i of the output.
     """
-    flat = stack.bits.reshape(stack.stack_side**2, -1)
-    out = np.empty_like(flat)
-    for s, (row, dest) in enumerate(zip(flat, out)):
-        # named, so the previous table is freed only after this one is built (about 5% faster at n=9)
-        table = sched.stage2_table(s)
+    words, s = stack.words, stack.stack_side
+    out = np.zeros_like(words)
+    moved = np.empty_like(words[0])
+    pool = [np.empty(words.shape[1], np.intp) for _ in range(2)]
+    for i, l in np.ndindex(s, s):
+        bit = words.dtype.type(1 << l)
+        table = sched.stage2_table(i * s + l, pool)
         if inverse:
-            dest[:] = row[table]
+            np.take(words[i], table, out=moved, mode="clip")
         else:
-            dest[table] = row
-    return dataclasses.replace(stack, bits=out.reshape(stack.bits.shape))
+            moved[table] = words[i]
+        moved &= bit
+        out[i] |= moved
+    return stack.replace(words=out)
 
 
 def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
@@ -521,18 +523,17 @@ def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...], stats: dict | N
     """XOR the keystream grids over every bit site; self-inverse by construction.
 
     grids holds one keystream grid per source image, as _grids(key) returns
-    them.  The keystream integers at (image, x, y) are split into 2**k bit
-    planes like pixels, and every (image, plane, x, y) site is XORed exactly
-    once with its keystream bit.  Padded image m takes grids[m % len(grids)],
-    so all 2**k images get live keystream.  When stats is given,
-    stats['xor_sites'] receives the number of sites actually touched.
+    them, in the words' dtype.  Bit l of the keystream integer at (image, x,
+    y) is the keystream bit of site (image, plane l, x, y), so XORing row m
+    of the words with its grid XORs every site exactly once.  Padded image m
+    takes grids[m % len(grids)], so all 2**k images get live keystream.  When
+    stats is given, stats['xor_sites'] receives the number of sites touched.
     """
     s = stack.stack_side
-    bits = _split_planes(np.stack([grids[m % len(grids)] for m in range(s)]), s)
-    np.bitwise_xor(bits, stack.bits, out=bits)
+    words = stack.words ^ np.stack([grids[m % len(grids)] for m in range(s)]).reshape(s, -1)
     if stats is not None:
-        stats["xor_sites"] = bits.size
-    return dataclasses.replace(stack, bits=bits)
+        stats["xor_sites"] = words.size * s
+    return stack.replace(words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -549,10 +550,8 @@ def _bare(key: SecretKey) -> SecretKey:
 # schedule replaces it once derived.  The keystream grids of the two most
 # recent seeded keys are kept, so a decrypt after its encrypt recomputes
 # neither the seed nor the grids.  The schedule also keeps each stage-2
-# slot's strip layout (at most 295 KB at the benchmark geometries), but not
-# the stage-2 tables, which are built from it one slot at a time on every
-# pass: all of them would take 8 MB even in uint16 at n=7 with 16 images or
-# at n=8 with 3, and 67 MB at n=9.
+# slot's strip layout, but no stage-2 table: all of them would take 8 MB
+# even in uint16 at n=8 with 3 images, and 67 MB at n=9.
 # Threads may share both caches: lru_cache keeps its entries consistent, but
 # threads that miss together each derive the material.
 
@@ -620,5 +619,5 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     sched = _schedule(_bare(key))
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
-    stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)
+    stack = stack.replace(m_prime=key.m_prime, bit_depth=key.bit_depth)
     return recompose(stack), stack.padding_bit_count()

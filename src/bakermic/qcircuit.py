@@ -244,8 +244,9 @@ def simulate_permutation(circuit: Circuit) -> np.ndarray:
         idx[a], idx[b] = 0, 1
         other = cube[(*idx, ...)]
         held = one.copy()
-        one[...] = other
+        np.positive(other, out=one)  # a ufunc writes through; `one[...] = other` would copy other first
         other[...] = held
+        del held  # freed before the next gate's copy is made
     return perm
 
 

@@ -16,7 +16,7 @@ from bakermic.analysis import (
     occlusion_test,
     psnr,
 )
-from bakermic.brqmi import MultiImage
+from bakermic.brqmi import MultiImage, _split_planes
 from bakermic.cipher import encrypt, make_key
 
 from conftest import natural_images, random_images
@@ -89,6 +89,17 @@ def test_bit_difference_rate():
     assert bit_difference_rate(a, a, 8) == 0.0
     assert bit_difference_rate(a, a + 255, 8) == 100.0
     assert bit_difference_rate(a, a + 15, 8) == 50.0
+    # only the low bit_depth bits count, for values out of range as well
+    assert bit_difference_rate(a, a + 256, 8) == 0.0
+    assert bit_difference_rate(a, a - 1, 8) == 100.0
+
+
+@pytest.mark.parametrize("depth", [1, 8, 16])
+def test_bit_difference_rate_equals_the_plane_count(depth):
+    # the rate counts set bits of the XOR through a byte table, not through planes
+    a, b = (random_images(n=4, count=16, seed=seed, bit_depth=depth).pixels for seed in (depth, depth + 1))
+    diff = int(np.count_nonzero(_split_planes(a ^ b, depth)))
+    assert bit_difference_rate(a, b, depth) == 100.0 * diff / (a.size * depth)
 
 
 def test_psnr():

@@ -6,6 +6,7 @@ import pytest
 from bakermic.brqmi import (
     BitPlaneStack,
     MultiImage,
+    _dtype_for_depth,
     decompose,
     load_multi,
     read_pgm,
@@ -100,6 +101,30 @@ def test_padding_bit_count_matches_mask():
                 assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum())
 
 
+def test_stack_packs_the_bits_it_is_given():
+    # the stack holds the ciphertext's words; bits is unpacked from them, read-only
+    rng = np.random.default_rng(19)
+    for k in range(6):
+        side = 1 << k
+        bits = rng.integers(0, 2, size=(side, side, 4, 4), dtype=np.uint8)
+        stack = BitPlaneStack(n=2, k=k, m_prime=side, bit_depth=side, bits=bits)
+        assert stack.words.shape == (side, 16) and stack.words.dtype == _dtype_for_depth(side)
+        assert np.array_equal(stack.bits, bits)
+        assert not stack.bits.flags.writeable
+        assert np.array_equal(BitPlaneStack(n=2, k=k, m_prime=side, bit_depth=side, words=stack.words).bits, bits)
+
+
+def test_padding_bit_count_matches_the_byte_tensor_at_every_k():
+    rng = np.random.default_rng(29)
+    for k in range(6):
+        side = 1 << k
+        for m_prime in sorted({1, max(1, side // 2), side}):
+            for depth in sorted({1, max(1, side // 2), max(1, side - 1), side}):
+                bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
+                stack = BitPlaneStack(n=1, k=k, m_prime=m_prime, bit_depth=depth, bits=bits)
+                assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum()), (k, m_prime, depth)
+
+
 def test_recompose_roundtrip():
     for depth in range(1, 17):
         img = random_images(n=3, count=(depth % 7) + 1, seed=depth, bit_depth=depth)
@@ -161,6 +186,10 @@ def test_bitplane_stack_validation():
     bad[0, 0, 0, 0] = 2
     with pytest.raises(ValueError):
         BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, bits=bad)
+    # words of the wrong shape or dtype, or no words or bits at all
+    for words in (np.zeros((2, 16), dtype=np.uint16), np.zeros((2, 15), dtype=np.uint8), None):
+        with pytest.raises(ValueError, match="words must have shape"):
+            BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=words)
 
 
 def test_pgm_roundtrip_8bit(tmp_path):

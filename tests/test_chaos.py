@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from bakermic import chaos
-from bakermic.brqmi import MultiImage
+from bakermic.brqmi import MultiImage, _split_planes
 from bakermic.chaos import (
     BURN_IN,
     DegenerateKeyError,
@@ -29,6 +29,7 @@ from bakermic.chaos import (
 )
 from bakermic.cipher import make_key
 
+from conftest import random_images
 from oracles import key_bits, key_int
 
 
@@ -207,6 +208,14 @@ def test_chebyshev_many_rarely_falls_back_on_real_orbits(monkeypatch):
     calls = counting_chebyshev(monkeypatch)
     assert_same_floats(chebyshev_many(orders, xs), want)
     assert len(calls) < 0.01 * len(orders)
+
+
+@pytest.mark.parametrize("depth", [1, 8, 16])
+def test_seed_bit_count_equals_the_plane_count(depth):
+    # derive_seed counts set bits through a byte table, not through planes
+    images = random_images(n=4, count=3, seed=depth, bit_depth=depth)
+    want = int(np.count_nonzero(_split_planes(images.pixels, depth)))
+    assert derive_seed(images) == (int(images.pixels.sum()), want)
 
 
 def test_seed_examples():

@@ -619,12 +619,12 @@ def test_encrypt_decrypt_roundtrip():
 
 
 def test_encrypt_peak_memory_is_a_few_stacks():
-    # Planes are split and joined in the pixels' own dtype; one uint64 copy
-    # of the stack alone would take eight stacks.
+    # The bound is counted in stacks of one byte per bit, 4**(n+k) bytes
+    # (4 MB here); one uint64 copy of such a stack alone would take eight.
     images = natural_images(n=8, count=3, seed=5)
     key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
     encrypt(images, key)  # warm: the schedule and grids stay cached for this key
-    stack_bytes = decompose(images).bits.nbytes
+    stack_bytes = 4 ** (key.n + key.k)
     tracemalloc.start()
     try:
         encrypt(images, key)
@@ -632,6 +632,24 @@ def test_encrypt_peak_memory_is_a_few_stacks():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * stack_bytes, f"peak {peak / 2**20:.1f} MB for a {stack_bytes / 2**20:.1f} MB stack"
+
+
+@pytest.mark.parametrize("direction", ["encrypt", "decrypt"])
+def test_warm_pass_peak_memory_is_below_5_mb(direction):
+    # The stack is the ciphertext's words, 512 KB at n=8 with three 8-bit
+    # images, and each stage holds about two of them and a few table buffers.
+    images = natural_images(n=8, count=3, seed=5)
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
+    ciphertext, seeded = encrypt(images, key)  # warm: the schedule and grids stay cached for this key
+    run = {"encrypt": lambda: encrypt(images, key), "decrypt": lambda: decrypt(ciphertext, seeded)}[direction]
+    run()
+    tracemalloc.start()
+    try:
+        run()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_degenerate_orbit_fails_fast(monkeypatch):
