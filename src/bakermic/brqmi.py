@@ -7,9 +7,10 @@ to a common power of two 2**k so that the (image, plane) pair ranges over a
 square lattice of the same shape class as the pixel lattice; that symmetry is
 what lets the scrambling stage treat both lattices with the same machinery.
 
-Plane order (plane l holds bit l) is known here alone: _split_planes cuts
-values into planes, BitPlaneStack packs planes into words, _popcount counts
-set bits, and every other module that needs planes or bit counts calls them.
+Plane order (plane l holds bit l) is stated here: _split_planes cuts values
+into planes, _join_planes packs them back, _popcount counts set bits, and
+every other module calls them; in cipher, stage 2's mask and diffusion's
+keystream take plane l as bit l of a word without cutting planes.
 """
 
 from __future__ import annotations
@@ -35,11 +36,17 @@ def stack_exponent(m_prime: int, bit_depth: int) -> int:
 
 
 def _split_planes(values: np.ndarray, depth: int) -> np.ndarray:
-    """uint8 planes[m, l] = bit l of values[m], for l < depth, by shift and mask."""
-    planes = np.empty((values.shape[0], depth) + values.shape[1:], dtype=np.uint8)
-    for l in range(depth):
-        np.bitwise_and(values >> l, 1, out=planes[:, l], casting="unsafe")
+    """planes[m, l] = bit l of values[m], for l < depth, in values' dtype, by broadcast shift and mask."""
+    shifts = np.arange(depth, dtype=values.dtype).reshape((depth,) + (1,) * (values.ndim - 1))
+    planes = values[:, None] >> shifts
+    planes &= 1
     return planes
+
+
+def _join_planes(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of _split_planes into out: out[m] = OR of planes[m, l] << l, in out's dtype."""
+    shifts = np.arange(planes.shape[1], dtype=out.dtype).reshape((-1,) + (1,) * (planes.ndim - 2))
+    return np.bitwise_or.reduce(planes << shifts, axis=1, dtype=out.dtype, out=out)
 
 
 _POP8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)
@@ -95,36 +102,32 @@ class MultiImage:
         return 1 << self.n
 
 
+@dataclass(frozen=True, eq=False)
 class BitPlaneStack:
     """The padded stack of 2**k x 2**k (image, plane) slots, held as the ciphertext's words.
 
     words has shape (2**k, 4**n) in the dtype of 2**k-bit pixels: row i holds
     image i's pixels, and bit l of an entry is plane l.  Padded images
     (m >= m_prime) and padded planes (l >= bit_depth) are zero until
-    scrambling moves data into them.  Tests and oracles may give, and read,
-    the uint8 tensor bits[image, plane, x, y] instead; it is packed.
+    scrambling moves data into them.  Tests and oracles read the uint8
+    tensor bits[image, plane, x, y] instead.
     """
 
-    def __init__(self, n: int, k: int, m_prime: int, bit_depth: int, bits=None, *, words=None):
-        self.n, self.k, self.m_prime, self.bit_depth = n, k, m_prime, bit_depth
-        stack_side, side = 1 << k, 1 << n
-        if m_prime < 1 or m_prime > stack_side:
+    n: int
+    k: int
+    m_prime: int
+    bit_depth: int
+    words: np.ndarray
+
+    def __post_init__(self):
+        stack_side, side = 1 << self.k, 1 << self.n
+        if self.m_prime < 1 or self.m_prime > stack_side:
             raise ValueError("image count must fit the stack side")
-        if bit_depth < 1 or bit_depth > stack_side:
+        if self.bit_depth < 1 or self.bit_depth > stack_side:
             raise ValueError("bit depth must fit the stack side")
-        dtype = _dtype_for_depth(stack_side)
-        if bits is not None:
-            bits = np.asarray(bits, dtype=np.uint8)
-            expected = (stack_side, stack_side, side, side)
-            if bits.shape != expected:
-                raise ValueError(f"bit tensor must have shape {expected}")
-            if bits.size and int(bits.max()) > 1:
-                raise ValueError("bit tensor entries must be 0 or 1")
-            shifts = np.arange(stack_side, dtype=dtype)[:, None]
-            words = np.bitwise_or.reduce(bits.reshape(stack_side, stack_side, -1) << shifts, axis=1, dtype=dtype)
-        if words is None or words.shape != (stack_side, side * side) or words.dtype != dtype:
+        words, dtype = self.words, _dtype_for_depth(stack_side)
+        if not isinstance(words, np.ndarray) or words.shape != (stack_side, side * side) or words.dtype != dtype:
             raise ValueError(f"words must have shape {(stack_side, side * side)} and dtype {dtype}")
-        self.words = words
 
     @property
     def stack_side(self) -> int:
@@ -133,13 +136,10 @@ class BitPlaneStack:
     @property
     def bits(self) -> np.ndarray:
         """Read-only uint8 tensor bits[image, plane, x, y], unpacked afresh from words on every access."""
-        bits = _split_planes(self.words.reshape(self.stack_side, 1 << self.n, -1), self.stack_side)
+        s = self.stack_side
+        bits = _split_planes(self.words.reshape(s, 1 << self.n, -1), s).astype(np.uint8, copy=False)
         bits.flags.writeable = False
         return bits
-
-    def replace(self, **changes) -> BitPlaneStack:
-        """This stack with some of n, k, m_prime, bit_depth and words changed."""
-        return BitPlaneStack(**{**vars(self), **changes})
 
     def padding_bit_count(self) -> int:
         """Number of set bits sitting in padding slots: in the padded images' words and masked planes."""
@@ -228,10 +228,9 @@ def read_pgm(path: str | os.PathLike) -> tuple[np.ndarray, int]:
     pos += 1  # single whitespace byte after maxval
     if tokens[0] != b"P5":
         raise ValueError(f"{path}: not a binary PGM (magic {tokens[0]!r})")
-    try:
-        width, height, maxval = (int(t) for t in tokens[1:])
-    except ValueError as exc:
-        raise ValueError(f"{path}: malformed header") from exc
+    if not all(t.isdigit() for t in tokens[1:]):  # bytes.isdigit is ASCII digits only: no sign or underscore
+        raise ValueError(f"{path}: malformed header")
+    width, height, maxval = (int(t) for t in tokens[1:])
     if not 0 < maxval < 65536:
         raise ValueError(f"{path}: maxval {maxval} out of range")
     dtype = np.dtype(">u2") if maxval > 255 else np.dtype("u1")

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import baker
+from . import baker, brqmi
 from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, stack_exponent, write_atomic
 from .chaos import (
     BURN_IN,
@@ -443,40 +443,40 @@ def _power(table: np.ndarray, rounds: int, pool: list | None = None) -> np.ndarr
 def _permute(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
-    Slot (i, l) of pixel p's fibre is bit l of words[i, p].  Pixels go in
-    chunks of about _CHUNK index entries, and at least one pixel, unpacked
-    by shift and mask into a (slot, pixel) block; the chunk's rows of
-    stage1_tables become one flat, C-ordered intp index into that block, so
-    numpy takes its fast 1-D path.  Forward scatters with a pixel's table
-    (moved[t[i]] = fibre[i]), the inverse gathers (moved[i] = fibre[t[i]]).
+    Slot (i, l) of pixel p's fibre is plane l of words[i, p].  Pixels go in
+    chunks of about _CHUNK index entries, and at least one pixel, unpacked by
+    brqmi's codec (_split_planes, then _join_planes) into a (slot, pixel)
+    block; the chunk's rows of stage1_tables become one flat, C-ordered intp
+    index into that block, so numpy takes its fast 1-D path.  Forward
+    scatters with a pixel's table (moved[t[i]] = fibre[i]), the inverse
+    gathers (moved[i] = fibre[t[i]]).
     """
     words, out = stack.words, np.empty_like(stack.words)
     s, pixels = words.shape
     codes, tables = sched.stage1_tables
-    shifts = np.arange(s, dtype=words.dtype)[:, None]
     step = max(1, _CHUNK // s**2)
     for c0 in range(0, pixels, step):
         c1 = min(c0 + step, pixels)
         # without order="C" the product of the transposed rows keeps F order, and ravel copies it
         lin = np.multiply(tables[codes[c0:c1]].T, c1 - c0, dtype=np.intp, order="C")
         lin += np.arange(c1 - c0)
-        fibres = (words[:, None, c0:c1] >> shifts) & 1
+        fibres = brqmi._split_planes(words[:, c0:c1], s)
         if inverse:
             moved = fibres.ravel()[lin.ravel()].reshape(fibres.shape)
         else:
             moved = np.empty_like(fibres)
             moved.ravel()[lin.ravel()] = fibres.ravel()
-        np.bitwise_or.reduce(moved << shifts, axis=1, out=out[:, c0:c1])
-    return stack.replace(words=out)
+        brqmi._join_planes(moved, out[:, c0:c1])
+    return dataclasses.replace(stack, words=out)
 
 
 def _permute_slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
     """Stage 2's kernel: permute each (image, plane) slice's pixels, one slice at a time.
 
-    Slice (i, l), bit l of row i of the words, moves alone by
-    sched.stage2_table(i * 2**k + l): forward scatters row i (moved[t[p]] =
-    row[p]), the inverse gathers it (moved[p] = row[t[p]]), and moved,
-    masked to bit l, is ORed into row i of the output.
+    Slice (i, l), bit l of row i of the words (brqmi's plane order), moves
+    alone by sched.stage2_table(i * 2**k + l): forward scatters row i
+    (moved[t[p]] = row[p]), the inverse gathers it (moved[p] = row[t[p]]),
+    and moved, masked to bit l, is ORed into row i of the output.
     """
     words, s = stack.words, stack.stack_side
     out = np.zeros_like(words)
@@ -491,7 +491,7 @@ def _permute_slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> 
             moved[table] = words[i]
         moved &= bit
         out[i] |= moved
-    return stack.replace(words=out)
+    return dataclasses.replace(stack, words=out)
 
 
 def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
@@ -519,21 +519,19 @@ def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitP
 # Diffusion
 
 
-def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...], stats: dict | None = None) -> BitPlaneStack:
+def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...]) -> BitPlaneStack:
     """XOR the keystream grids over every bit site; self-inverse by construction.
 
     grids holds one keystream grid per source image, as _grids(key) returns
     them, in the words' dtype.  Bit l of the keystream integer at (image, x,
-    y) is the keystream bit of site (image, plane l, x, y), so XORing row m
-    of the words with its grid XORs every site exactly once.  Padded image m
-    takes grids[m % len(grids)], so all 2**k images get live keystream.  When
-    stats is given, stats['xor_sites'] receives the number of sites touched.
+    y) is the keystream bit of site (image, plane l, x, y), in brqmi's plane
+    order, so XORing row m of the words with its grid XORs each of the
+    4**(n+k) sites exactly once.  Padded image m takes grids[m % len(grids)],
+    so all 2**k images get live keystream.
     """
     s = stack.stack_side
     words = stack.words ^ np.stack([grids[m % len(grids)] for m in range(s)]).reshape(s, -1)
-    if stats is not None:
-        stats["xor_sites"] = words.size * s
-    return stack.replace(words=words)
+    return dataclasses.replace(stack, words=words)
 
 
 # ---------------------------------------------------------------------------
@@ -619,5 +617,5 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     sched = _schedule(_bare(key))
     stack = inverse_scramble_positions(stack, sched)
     stack = inverse_scramble_images_planes(stack, sched)
-    stack = stack.replace(m_prime=key.m_prime, bit_depth=key.bit_depth)
+    stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)
     return recompose(stack), stack.padding_bit_count()

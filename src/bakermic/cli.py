@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import random
+import re
 import sys
 
 import numpy as np
@@ -145,12 +146,11 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
     block = None
     if args.block is not None:
-        try:
-            block = tuple(int(v) for v in args.block.split(","))
-        except ValueError:
-            block = ()
-        if len(block) != 4:
+        # ASCII digits and a leading '-' only: int() would also take '+', '_' and other scripts' digits
+        entries = args.block.split(",")
+        if len(entries) != 4 or not all(re.fullmatch(r"\s*-?[0-9]+\s*", e) for e in entries):
             raise UsageError(f"--block wants x,y,width,height as integers, got {args.block!r}")
+        block = tuple(int(e) for e in entries)
     if args.density is not None:
         analysis.check_density(args.density)
     report = analysis.MetricsReport()
@@ -193,6 +193,8 @@ def cmd_partitions(args) -> int:
     if args.action == "count":
         print(baker.count_partitions(args.n))
     elif args.action == "unrank":
+        if not re.fullmatch(r"\s*[0-9]+\s*", args.index):
+            raise ValueError(f"rank must be ASCII digits, got {args.index!r}")
         print(baker.unrank(args.n, int(args.index)))
     elif args.action == "check":
         part = baker.parse_widths(args.widths)

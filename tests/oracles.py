@@ -6,6 +6,7 @@ qcircuit.simulate_permutation for circuits, and
 BitPlaneStack.padding_bit_count for stray padding bits.  The functions here
 state the same rules one point, one pixel or one slot at a time, as the
 paper defines them, so tests can compare the two statements entry by entry.
+stack_of_bits packs a bit tensor into a stack through brqmi's own codec.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import math
 import numpy as np
 
 from bakermic.baker import BakerPartition
-from bakermic.brqmi import BitPlaneStack
+from bakermic.brqmi import BitPlaneStack, _dtype_for_depth, _join_planes
 from bakermic.chaos import RankPerms, chebyshev
 from bakermic.qcircuit import Circuit
 
@@ -113,7 +114,19 @@ def key_bits(i: int, j: int, perms: RankPerms, q: int, k: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Padding, one (image, plane) slot at a time
+# Stacks from bit tensors; padding, one (image, plane) slot at a time
+
+
+def stack_of_bits(bits: np.ndarray, m_prime: int | None = None, bit_depth: int | None = None) -> BitPlaneStack:
+    """The stack whose tensor bits[image, plane, x, y] is bits, packed by brqmi's codec.
+
+    n and k come from the tensor's shape; m_prime and bit_depth default to
+    the stack side, every slot live.
+    """
+    s, _, side, _ = bits.shape
+    words = _join_planes(bits.reshape(s, s, -1), np.empty((s, side * side), _dtype_for_depth(s)))
+    k, n = s.bit_length() - 1, side.bit_length() - 1
+    return BitPlaneStack(n=n, k=k, m_prime=m_prime or s, bit_depth=bit_depth or s, words=words)
 
 
 def padding_mask(stack: BitPlaneStack) -> np.ndarray:

@@ -198,17 +198,19 @@ def test_criterion_05_diffusion_involution(announce):
         intensity_sum, bit_count = chaos.derive_seed(images)
         grids = cipher._grids(dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count))
         stack = decompose(images)
-        stats: dict = {}
-        once = cipher.diffuse(stack, grids, stats=stats)
-        twice = cipher.diffuse(once, grids)
-        expected_sites = 1 << (2 * (key.n + key.k))
+        twice = cipher.diffuse(cipher.diffuse(stack, grids), grids)
+        # diffusing a zero stack lays the stacked keystream over all 4**(n+k) sites
+        zero = cipher.diffuse(dataclasses.replace(stack, words=np.zeros_like(stack.words)), grids)
+        keystream = np.stack([grids[i % m] for i in range(1 << key.k)]).reshape(zero.words.shape)
         results.append(
-            np.array_equal(twice.bits, stack.bits) and stats["xor_sites"] == expected_sites
+            np.array_equal(twice.bits, stack.bits)
+            and zero.bits.size == 1 << (2 * (key.n + key.k))
+            and np.array_equal(zero.words, keystream)
         )
     ok = all(results)
     announce(
         f"ACCEPTANCE 05 {'PASS' if ok else 'FAIL'}: diffuse twice = identity, "
-        f"XOR site counts exact at both geometries"
+        f"keystream laid over every site at both geometries"
     )
     assert ok
 

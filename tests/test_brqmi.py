@@ -1,8 +1,12 @@
+import ast
+import dataclasses
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from bakermic import brqmi
 from bakermic.brqmi import (
     BitPlaneStack,
     MultiImage,
@@ -19,7 +23,7 @@ from bakermic.brqmi import (
 )
 
 from conftest import random_images, temporaries
-from oracles import padding_mask
+from oracles import padding_mask, stack_of_bits
 
 
 def test_stack_exponent_cases():
@@ -97,7 +101,7 @@ def test_padding_bit_count_matches_mask():
         for m_prime in range(1, side + 1):
             for depth in range(1, side + 1):
                 bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
-                stack = BitPlaneStack(n=1, k=k, m_prime=m_prime, bit_depth=depth, bits=bits)
+                stack = stack_of_bits(bits, m_prime, depth)
                 assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum())
 
 
@@ -107,11 +111,12 @@ def test_stack_packs_the_bits_it_is_given():
     for k in range(6):
         side = 1 << k
         bits = rng.integers(0, 2, size=(side, side, 4, 4), dtype=np.uint8)
-        stack = BitPlaneStack(n=2, k=k, m_prime=side, bit_depth=side, bits=bits)
+        stack = stack_of_bits(bits)
         assert stack.words.shape == (side, 16) and stack.words.dtype == _dtype_for_depth(side)
+        weights = 1 << np.arange(side, dtype=np.int64)[:, None]
+        assert np.array_equal(stack.words, (bits.reshape(side, side, -1) * weights).sum(axis=1))
         assert np.array_equal(stack.bits, bits)
         assert not stack.bits.flags.writeable
-        assert np.array_equal(BitPlaneStack(n=2, k=k, m_prime=side, bit_depth=side, words=stack.words).bits, bits)
 
 
 def test_padding_bit_count_matches_the_byte_tensor_at_every_k():
@@ -121,7 +126,7 @@ def test_padding_bit_count_matches_the_byte_tensor_at_every_k():
         for m_prime in sorted({1, max(1, side // 2), side}):
             for depth in sorted({1, max(1, side // 2), max(1, side - 1), side}):
                 bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
-                stack = BitPlaneStack(n=1, k=k, m_prime=m_prime, bit_depth=depth, bits=bits)
+                stack = stack_of_bits(bits, m_prime, depth)
                 assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum()), (k, m_prime, depth)
 
 
@@ -140,13 +145,7 @@ def test_recompose_ignores_stray_padding():
     stack = decompose(img)
     bits = stack.bits.copy()
     bits[3, 1, 0, 0] = 1
-    dirty = BitPlaneStack(
-        n=stack.n,
-        k=stack.k,
-        m_prime=stack.m_prime,
-        bit_depth=stack.bit_depth,
-        bits=bits,
-    )
+    dirty = stack_of_bits(bits, stack.m_prime, stack.bit_depth)
     back = recompose(dirty)
     assert np.array_equal(back.pixels, img.pixels)
     assert dirty.padding_bit_count() == 1
@@ -167,7 +166,7 @@ def test_recompose_all_joins_a_random_full_stack():
     # k=4, every slot live: the shape of 16-bit ciphertext
     rng = np.random.default_rng(17)
     bits = rng.integers(0, 2, size=(16, 16, 4, 4), dtype=np.uint8)
-    stack = BitPlaneStack(n=2, k=4, m_prime=16, bit_depth=16, bits=bits)
+    stack = stack_of_bits(bits)
     full = recompose_all(stack)
     weights = (1 << np.arange(16, dtype=np.int64)).reshape(1, 16, 1, 1)
     assert full.pixels.dtype == np.uint16
@@ -176,20 +175,40 @@ def test_recompose_all_joins_a_random_full_stack():
 
 
 def test_bitplane_stack_validation():
-    # image count exceeding the stack side
-    with pytest.raises(ValueError):
-        BitPlaneStack(n=2, k=1, m_prime=3, bit_depth=2, bits=np.zeros((2, 2, 4, 4), dtype=np.uint8))
-    # tensor shape disagreeing with n and k
-    with pytest.raises(ValueError):
-        BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, bits=np.zeros((2, 2, 4, 5), dtype=np.uint8))
-    bad = np.zeros((2, 2, 4, 4), dtype=np.uint8)
-    bad[0, 0, 0, 0] = 2
-    with pytest.raises(ValueError):
-        BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, bits=bad)
-    # words of the wrong shape or dtype, or no words or bits at all
-    for words in (np.zeros((2, 16), dtype=np.uint16), np.zeros((2, 15), dtype=np.uint8), None):
+    words = np.zeros((2, 16), dtype=np.uint8)
+    # image count or bit depth exceeding the stack side
+    with pytest.raises(ValueError, match="image count"):
+        BitPlaneStack(n=2, k=1, m_prime=3, bit_depth=2, words=words)
+    with pytest.raises(ValueError, match="bit depth"):
+        BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=3, words=words)
+    # words of the wrong shape or dtype, or no array at all
+    for bad in (np.zeros((2, 16), dtype=np.uint16), np.zeros((2, 15), dtype=np.uint8), None):
         with pytest.raises(ValueError, match="words must have shape"):
-            BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=words)
+            BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=bad)
+    # the stack is frozen, and a replaced stack is checked again
+    stack = BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=words)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        stack.words = words
+    with pytest.raises(ValueError, match="words must have shape"):
+        dataclasses.replace(stack, words=words[:, :15])
+
+
+def test_only_brqmi_packs_or_unpacks_planes():
+    # plane order is stated once, in brqmi's codec: no other module packs
+    # planes with bitwise_or.reduce, and cipher unpacks none by a right shift
+    offenders = []
+    for path in sorted(Path(brqmi.__file__).parent.glob("*.py")):
+        if path.name == "brqmi.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):
+            value = getattr(node, "value", None)
+            packs = isinstance(node, ast.Attribute) and node.attr == "reduce" and (
+                getattr(value, "attr", None) == "bitwise_or" or getattr(value, "id", None) == "bitwise_or"
+            )
+            unpacks = path.name == "cipher.py" and isinstance(getattr(node, "op", None), ast.RShift)
+            if packs or unpacks:
+                offenders.append(f"{path.name}:{node.lineno}")
+    assert offenders == []
 
 
 def test_pgm_roundtrip_8bit(tmp_path):
@@ -283,6 +302,11 @@ def test_write_atomic_follows_a_symlink_to_a_device(tmp_path):
         (b"P5\n2 2\n", "truncated header"),
         (b"P2\n2 2\n255\n1 2 3 4\n", "not a binary PGM"),
         (b"P5\n2 x\n255\n" + bytes(4), "malformed header"),
+        # int() would read these as 2, 2 and 255: header numbers are ASCII digits only
+        (b"P5\n+2 0_2\n25_5\n" + bytes(4), "malformed header"),
+        (b"P5\n+2 2\n255\n" + bytes(4), "malformed header"),
+        (b"P5\n2 0_2\n255\n" + bytes(4), "malformed header"),
+        (b"P5\n2 2\n25_5\n" + bytes(4), "malformed header"),
         (b"P5\n2 2\n65536\n" + bytes(8), "maxval 65536 out of range"),
         (b"P5\n2 2\n255\n" + bytes(3), "truncated pixel data"),
         (b"P5\n2 2\n3\n" + bytes([0, 1, 2, 4]), "sample exceeds declared maxval"),

@@ -581,9 +581,12 @@ def test_diffuse_involution_and_count():
     images = random_images(n=2, count=2, seed=12, bit_depth=4)
     grids = cipher_module._grids(seeded(key, images))
     stack = decompose(images)
-    stats: dict = {}
-    once = diffuse(stack, grids, stats=stats)
-    assert stats["xor_sites"] == 1 << (2 * (key.n + key.k))
+    # a zero stack takes the stacked keystream at every one of the 4**(n+k) sites
+    zero = diffuse(dataclasses.replace(stack, words=np.zeros_like(stack.words)), grids)
+    keystream = np.stack([grids[m % key.m_prime] for m in range(1 << key.k)])
+    assert zero.bits.size == 1 << (2 * (key.n + key.k))
+    assert np.array_equal(zero.words, keystream.reshape(zero.words.shape))
+    once = diffuse(stack, grids)
     assert not np.array_equal(once.bits, stack.bits)
     twice = diffuse(once, grids)
     assert np.array_equal(twice.bits, stack.bits)

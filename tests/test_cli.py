@@ -4,6 +4,7 @@ import random
 import numpy as np
 import pytest
 
+from bakermic.baker import unrank
 from bakermic.brqmi import load_multi, save_multi
 from bakermic.chaos import DegenerateKeyError
 from bakermic.cipher import make_key, read_key, write_key
@@ -302,6 +303,11 @@ def test_analyze_checks_options_before_encrypting(tmp_path, capsys, monkeypatch)
         (("--block", "0,0,8,8,1"), 1, "--block wants x,y,width,height"),
         (("--block", "0,0,a,8"), 1, "--block wants x,y,width,height as integers"),
         (("--block", "0,0,8.5,8"), 1, "--block wants x,y,width,height as integers"),
+        # int() would take a sign, underscores and other scripts' digits: entries are ASCII digits
+        (("--block", "+0,0,1_0,\u0663"), 1, "--block wants x,y,width,height as integers"),
+        (("--block", "+0,0,4,4"), 1, "--block wants x,y,width,height as integers"),
+        (("--block", "0,0,1_0,4"), 1, "--block wants x,y,width,height as integers"),
+        (("--block", "0,0,4,\u0663"), 1, "--block wants x,y,width,height as integers"),
         (("--block=-1,0,4,4",), 2, "block out of range"),
         (("--block", "4,4,5,1"), 2, "block exceeds the image"),
         (("--density", "1.5"), 2, "density must be in [0, 1]"),
@@ -360,6 +366,12 @@ def test_partitions_commands(tmp_path, capsys):
     assert len(capsys.readouterr().out.splitlines()) == 5
     assert run("partitions", "list", "4") == 2  # capped at n = 3
     assert run("partitions", "unrank", "3", "99") == 2
+    # the rank is ASCII digits, with whitespace around them at most: int() would read these as 10
+    for index in (" +1_0 ", "+10", "1_0", "\u0661\u0660"):
+        assert run("partitions", "unrank", "3", index) == 2
+        assert "rank must be ASCII digits" in capsys.readouterr().err
+    assert run("partitions", "unrank", "3", " 10 ") == 0
+    assert capsys.readouterr().out.strip() == str(unrank(3, 10))
 
 
 def test_partitions_refuses_large_n_before_counting(capsys, monkeypatch):
