@@ -1,16 +1,19 @@
 """Bit-plane representation of multi-image sets.
 
-A set of M' square grayscale images of side 2**n with L-bit pixels becomes a
-stack of (image, plane) slots, held as the ciphertext's words: slot (i, l) is
-bit l of image i's pixels.  The image and plane axes are padded with zeros up
-to a common power of two 2**k so that the (image, plane) pair ranges over a
-square lattice of the same shape class as the pixel lattice; that symmetry is
-what lets the scrambling stage treat both lattices with the same machinery.
+A set of M' square grayscale images of side 2**n with L-bit pixels becomes
+a stack of (image, plane) slots, where slot (i, l) is bit l of image i's
+pixels.  The image and plane axes are padded with zeros up to a common
+power of two 2**k so that the (image, plane) pair ranges over a square
+lattice of the same shape class as the pixel lattice; that symmetry is what
+lets the scrambling stage treat both lattices with the same machinery.  The
+padded stack is itself a MultiImage of 2**k images of 2**k-bit pixels, the
+shape of the ciphertext: decompose pads a set into one, and recompose cuts
+the source images back out.
 
 Plane order (plane l holds bit l) is stated here: _split_planes cuts values
 into planes, _join_planes packs them back, _popcount counts set bits, and
 every other module calls them; in cipher, stage 2's mask and diffusion's
-keystream take plane l as bit l of a word without cutting planes.
+keystream take plane l as bit l of a pixel without cutting planes.
 """
 
 from __future__ import annotations
@@ -61,10 +64,14 @@ def _popcount(values: np.ndarray) -> int:
 class MultiImage:
     """An ordered set of equally sized square grayscale images.
 
+    The padded stack, and so the ciphertext, is one too: 2**k images of
+    2**k-bit pixels, where bit l of image i's pixels is slot (i, l).
+
     Attributes:
         n: pixel lattices are 2**n x 2**n.
         bit_depth: pixels hold values in [0, 2**bit_depth).
-        pixels: array of shape (m_prime, 2**n, 2**n).
+        pixels: integer array of shape (m_prime, 2**n, 2**n), held in the
+            narrowest unsigned dtype for bit_depth.
     """
 
     n: int
@@ -79,17 +86,20 @@ class MultiImage:
         self.pixels = np.asarray(self.pixels)
         if self.pixels.ndim != 3:
             raise ValueError("pixels must have shape (images, side, side)")
-        side = 1 << self.n
-        count = self.pixels.shape[0]
+        side, (count, height, width) = 1 << self.n, self.pixels.shape
         if count < 1:
             raise ValueError("at least one image is required")
-        if self.pixels.shape[1] != side or self.pixels.shape[2] != side:
-            raise ValueError(
-                f"image side must be {side} for n={self.n}, "
-                f"got {self.pixels.shape[1]}x{self.pixels.shape[2]}"
-            )
+        if (height, width) != (side, side):
+            raise ValueError(f"image side must be {side} for n={self.n}, got {height}x{width}")
+        # the cast below would wrap negative values and truncate fractions; an
+        # unsigned dtype no wider than bit_depth (every stack) needs neither scan
+        dtype = self.pixels.dtype
+        if dtype.kind not in "iu":
+            raise ValueError(f"pixels must be integers, got dtype {dtype}")
+        if dtype.kind == "i" and self.pixels.size and int(self.pixels.min()) < 0:
+            raise ValueError("pixel values must be nonnegative")
         limit = 1 << self.bit_depth
-        if self.pixels.size and int(self.pixels.max()) >= limit:
+        if self.pixels.size and np.iinfo(dtype).max >= limit and int(self.pixels.max()) >= limit:
             raise ValueError(f"pixel values must be below {limit}")
         self.pixels = self.pixels.astype(_dtype_for_depth(self.bit_depth), copy=False)
 
@@ -101,79 +111,33 @@ class MultiImage:
     def side(self) -> int:
         return 1 << self.n
 
-
-@dataclass(frozen=True, eq=False)
-class BitPlaneStack:
-    """The padded stack of 2**k x 2**k (image, plane) slots, held as the ciphertext's words.
-
-    words has shape (2**k, 4**n) in the dtype of 2**k-bit pixels: row i holds
-    image i's pixels, and bit l of an entry is plane l.  Padded images
-    (m >= m_prime) and padded planes (l >= bit_depth) are zero until
-    scrambling moves data into them.  Tests and oracles read the uint8
-    tensor bits[image, plane, x, y] instead.
-    """
-
-    n: int
-    k: int
-    m_prime: int
-    bit_depth: int
-    words: np.ndarray
-
-    def __post_init__(self):
-        stack_side, side = 1 << self.k, 1 << self.n
-        if self.m_prime < 1 or self.m_prime > stack_side:
-            raise ValueError("image count must fit the stack side")
-        if self.bit_depth < 1 or self.bit_depth > stack_side:
-            raise ValueError("bit depth must fit the stack side")
-        words, dtype = self.words, _dtype_for_depth(stack_side)
-        if not isinstance(words, np.ndarray) or words.shape != (stack_side, side * side) or words.dtype != dtype:
-            raise ValueError(f"words must have shape {(stack_side, side * side)} and dtype {dtype}")
-
-    @property
-    def stack_side(self) -> int:
-        return 1 << self.k
-
     @property
     def bits(self) -> np.ndarray:
-        """Read-only uint8 tensor bits[image, plane, x, y], unpacked afresh from words on every access."""
-        s = self.stack_side
-        bits = _split_planes(self.words.reshape(s, 1 << self.n, -1), s).astype(np.uint8, copy=False)
+        """Read-only uint8 tensor bits[image, plane, x, y], unpacked afresh from the pixels on every access."""
+        bits = _split_planes(self.pixels, self.bit_depth).astype(np.uint8, copy=False)
         bits.flags.writeable = False
         return bits
 
-    def padding_bit_count(self) -> int:
-        """Number of set bits sitting in padding slots: in the padded images' words and masked planes."""
-        low = self.words.dtype.type((1 << self.bit_depth) - 1)
-        return _popcount(self.words[self.m_prime :]) + _popcount(self.words[: self.m_prime] & ~low)
+
+def decompose(images: MultiImage) -> MultiImage:
+    """The padded stack of images, 2**k images of 2**k-bit pixels: a copy of the pixels, zero in every other slot."""
+    s = 1 << stack_exponent(images.m_prime, images.bit_depth)
+    pixels = np.zeros((s, images.side, images.side), dtype=_dtype_for_depth(s))
+    pixels[: images.m_prime] = images.pixels
+    return MultiImage(n=images.n, bit_depth=s, pixels=pixels)
 
 
-def decompose(images: MultiImage) -> BitPlaneStack:
-    """Pack pixel values into the padded stack: a zero-padded copy of the pixels' words."""
-    k = stack_exponent(images.m_prime, images.bit_depth)
-    words = np.zeros((1 << k, images.side**2), dtype=_dtype_for_depth(1 << k))
-    words[: images.m_prime] = images.pixels.reshape(images.m_prime, -1)
-    return BitPlaneStack(n=images.n, k=k, m_prime=images.m_prime, bit_depth=images.bit_depth, words=words)
+def recompose(stack: MultiImage, m_prime: int, bit_depth: int) -> tuple[MultiImage, int]:
+    """The first m_prime images of stack, cut to their low bit_depth planes, and the set bits in every other slot.
 
-
-def recompose(stack: BitPlaneStack) -> MultiImage:
-    """Rebuild the m_prime source images from their plane slices.
-
-    Padding slots are ignored; stack.padding_bit_count() counts any set bits
-    left there (after decryption, a sign of a wrong key).
+    After decryption a nonzero count of such stray bits is a sign of a wrong key.
     """
-    low = stack.words.dtype.type((1 << stack.bit_depth) - 1)
-    pixels = (stack.words[: stack.m_prime] & low).astype(_dtype_for_depth(stack.bit_depth))
-    return MultiImage(n=stack.n, bit_depth=stack.bit_depth, pixels=pixels.reshape(stack.m_prime, 1 << stack.n, -1))
-
-
-def recompose_all(stack: BitPlaneStack) -> MultiImage:
-    """Rebuild every stack slot, padding included: a reshape of the words.
-
-    Produces 2**k images of 2**k-bit pixels; that is the on-disk shape of
-    ciphertext, where scrambling has moved live bits into padding slots.
-    """
-    side = 1 << stack.n
-    return MultiImage(n=stack.n, bit_depth=stack.stack_side, pixels=stack.words.reshape(-1, side, side))
+    if not (1 <= m_prime <= stack.m_prime and 1 <= bit_depth <= stack.bit_depth):
+        raise ValueError(f"{m_prime} images of {bit_depth} bits do not fit {stack.m_prime} of {stack.bit_depth} bits")
+    live, low = stack.pixels[:m_prime], stack.pixels.dtype.type((1 << bit_depth) - 1)
+    stray = _popcount(stack.pixels[m_prime:]) + _popcount(live & ~low)
+    images = MultiImage(n=stack.n, bit_depth=bit_depth, pixels=(live & low).astype(_dtype_for_depth(bit_depth)))
+    return images, stray
 
 
 # ---------------------------------------------------------------------------

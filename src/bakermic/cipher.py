@@ -1,10 +1,10 @@
 """Key handling, key schedule, the two scrambling stages, and diffusion.
 
-Encryption packs the image set into the padded bit-plane stack (the
-ciphertext's words), scrambles the (image, plane) fibre of every pixel with
-a keyed baker map, scrambles the pixel lattice of every slice with a second
-keyed baker map, XORs a chaotic keystream over every bit site, and reads the
-words out as 2**k ciphertext images.  Each stage is exactly invertible given
+Encryption pads the image set into the bit-plane stack (brqmi.decompose: 2**k
+images of 2**k-bit pixels), scrambles the (image, plane) fibre of every pixel
+with a keyed baker map, scrambles the pixel lattice of every slice with a
+second keyed baker map, and XORs a chaotic keystream over every bit site;
+the stack that comes out is the ciphertext.  Each stage is exactly invertible given
 the key file, which carries the chaotic parameters, the schedule generator
 seeds, and the exact plaintext statistics the keystream was seeded from.
 """
@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import baker, brqmi
-from .brqmi import BitPlaneStack, MultiImage, decompose, recompose, recompose_all, stack_exponent, write_atomic
+from .brqmi import MultiImage, decompose, recompose, stack_exponent, write_atomic
 from .chaos import (
     BURN_IN,
     DegenerateKeyError,
@@ -440,18 +440,29 @@ def _power(table: np.ndarray, rounds: int, pool: list | None = None) -> np.ndarr
     return out
 
 
-def _permute(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
+def _words(stack: MultiImage, sched: KeySchedule | None = None) -> np.ndarray:
+    """The stack as (2**k, 4**n) words, row i image i; refuses a non-stack or a schedule for another n or k."""
+    s, k = stack.m_prime, stack.m_prime.bit_length() - 1
+    if s != 1 << k or stack.bit_depth != s:
+        raise ValueError(f"a stack holds 2**k images of 2**k-bit pixels, not {s} of {stack.bit_depth} bits")
+    if sched is not None and (sched.n, sched.k) != (stack.n, k):
+        raise ValueError(f"the schedule is for n={sched.n}, k={sched.k}, but the stack has n={stack.n}, k={k}")
+    return stack.pixels.reshape(s, -1)
+
+
+def _permute(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
-    Slot (i, l) of pixel p's fibre is plane l of words[i, p].  Pixels go in
-    chunks of about _CHUNK index entries, and at least one pixel, unpacked by
-    brqmi's codec (_split_planes, then _join_planes) into a (slot, pixel)
+    Slot (i, l) of pixel p's fibre is plane l of _words[i, p].  Pixels go
+    in chunks of about _CHUNK index entries, and at least one pixel, unpacked
+    by brqmi's codec (_split_planes, then _join_planes) into a (slot, pixel)
     block; the chunk's rows of stage1_tables become one flat, C-ordered intp
     index into that block, so numpy takes its fast 1-D path.  Forward
     scatters with a pixel's table (moved[t[i]] = fibre[i]), the inverse
     gathers (moved[i] = fibre[t[i]]).
     """
-    words, out = stack.words, np.empty_like(stack.words)
+    words = _words(stack, sched)
+    out = np.empty_like(words)
     s, pixels = words.shape
     codes, tables = sched.stage1_tables
     step = max(1, _CHUNK // s**2)
@@ -467,18 +478,18 @@ def _permute(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlan
             moved = np.empty_like(fibres)
             moved.ravel()[lin.ravel()] = fibres.ravel()
         brqmi._join_planes(moved, out[:, c0:c1])
-    return dataclasses.replace(stack, words=out)
+    return dataclasses.replace(stack, pixels=out.reshape(stack.pixels.shape))
 
 
-def _permute_slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> BitPlaneStack:
+def _permute_slices(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage:
     """Stage 2's kernel: permute each (image, plane) slice's pixels, one slice at a time.
 
-    Slice (i, l), bit l of row i of the words (brqmi's plane order), moves
+    Slice (i, l), bit l of row i of _words (brqmi's plane order), moves
     alone by sched.stage2_table(i * 2**k + l): forward scatters row i
     (moved[t[p]] = row[p]), the inverse gathers it (moved[p] = row[t[p]]),
     and moved, masked to bit l, is ORed into row i of the output.
     """
-    words, s = stack.words, stack.stack_side
+    words, s = _words(stack, sched), stack.m_prime
     out = np.zeros_like(words)
     moved = np.empty_like(words[0])
     pool = [np.empty(words.shape[1], np.intp) for _ in range(2)]
@@ -491,10 +502,10 @@ def _permute_slices(stack: BitPlaneStack, sched: KeySchedule, inverse: bool) -> 
             moved[table] = words[i]
         moved &= bit
         out[i] |= moved
-    return dataclasses.replace(stack, words=out)
+    return dataclasses.replace(stack, pixels=out.reshape(stack.pixels.shape))
 
 
-def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
+def scramble_images_planes(stack: MultiImage, sched: KeySchedule) -> MultiImage:
     """Stage 1: permute each pixel's (image, plane) fibre with its own map.
 
     A rounds value of 0 leaves the fibre untouched (test hook).
@@ -502,16 +513,16 @@ def scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlane
     return _permute(stack, sched, inverse=False)
 
 
-def inverse_scramble_images_planes(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
+def inverse_scramble_images_planes(stack: MultiImage, sched: KeySchedule) -> MultiImage:
     return _permute(stack, sched, inverse=True)
 
 
-def scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
+def scramble_positions(stack: MultiImage, sched: KeySchedule) -> MultiImage:
     """Stage 2: permute the pixel lattice of each (image, plane) slice."""
     return _permute_slices(stack, sched, inverse=False)
 
 
-def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitPlaneStack:
+def inverse_scramble_positions(stack: MultiImage, sched: KeySchedule) -> MultiImage:
     return _permute_slices(stack, sched, inverse=True)
 
 
@@ -519,19 +530,18 @@ def inverse_scramble_positions(stack: BitPlaneStack, sched: KeySchedule) -> BitP
 # Diffusion
 
 
-def diffuse(stack: BitPlaneStack, grids: tuple[np.ndarray, ...]) -> BitPlaneStack:
-    """XOR the keystream grids over every bit site; self-inverse by construction.
+def diffuse(stack: MultiImage, grids: tuple[np.ndarray, ...]) -> MultiImage:
+    """XOR the keystream grids over every bit site of the stack; self-inverse by construction.
 
     grids holds one keystream grid per source image, as _grids(key) returns
-    them, in the words' dtype.  Bit l of the keystream integer at (image, x,
-    y) is the keystream bit of site (image, plane l, x, y), in brqmi's plane
-    order, so XORing row m of the words with its grid XORs each of the
+    them, in the stack's pixel dtype.  Bit l of the keystream integer at
+    (image, x, y) is the keystream bit of site (image, plane l, x, y), in
+    brqmi's plane order, so XORing image m with its grid XORs each of the
     4**(n+k) sites exactly once.  Padded image m takes grids[m % len(grids)],
     so all 2**k images get live keystream.
     """
-    s = stack.stack_side
-    words = stack.words ^ np.stack([grids[m % len(grids)] for m in range(s)]).reshape(s, -1)
-    return dataclasses.replace(stack, words=words)
+    keystream = np.stack([grids[m % len(grids)] for m in range(len(_words(stack)))])
+    return dataclasses.replace(stack, pixels=stack.pixels ^ keystream)
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +604,9 @@ def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
     key = dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count)
     grids = _grids(key)  # orbits first: a degenerate key is refused before any scrambling
     sched = _schedule(_bare(key))
-    stack = decompose(images)
-    stack = scramble_images_planes(stack, sched)
-    stack = scramble_positions(stack, sched)
-    stack = diffuse(stack, grids)
-    return recompose_all(stack), key
+    # nested calls: no name holds a finished stage's stack while the next stage runs
+    stack = scramble_positions(scramble_images_planes(decompose(images), sched), sched)
+    return diffuse(stack, grids), key
 
 
 def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
@@ -609,13 +617,9 @@ def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
     key or corrupted ciphertext, but the recovered images are still
     returned for inspection.
     """
-    s = 1 << key.k
-    if cipher.n != key.n or cipher.m_prime != s or cipher.bit_depth != s:
+    if (cipher.n, cipher.m_prime, cipher.bit_depth) != (key.n, 1 << key.k, 1 << key.k):
         raise ValueError("ciphertext geometry does not match the key")
     grids = _grids(key)
-    stack = diffuse(decompose(cipher), grids)
     sched = _schedule(_bare(key))
-    stack = inverse_scramble_positions(stack, sched)
-    stack = inverse_scramble_images_planes(stack, sched)
-    stack = dataclasses.replace(stack, m_prime=key.m_prime, bit_depth=key.bit_depth)
-    return recompose(stack), stack.padding_bit_count()
+    stack = inverse_scramble_images_planes(inverse_scramble_positions(diffuse(cipher, grids), sched), sched)
+    return recompose(stack, key.m_prime, key.bit_depth)

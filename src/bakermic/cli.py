@@ -32,6 +32,13 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+def _integer(text: str) -> int:
+    """ASCII digits, an optional leading '-' and surrounding whitespace; int() also takes '+', '_' and other digits."""
+    if not re.fullmatch(r"\s*-?[0-9]+\s*", text):
+        raise argparse.ArgumentTypeError(f"expected an integer in ASCII digits, got {text!r}")
+    return int(text)
+
+
 def _write_text(path: str | None, text: str) -> None:
     if path is None or path == "-":
         sys.stdout.write(text)
@@ -146,11 +153,12 @@ def cmd_analyze(args) -> int:
         raise UsageError("analyze needs --in2 for pair mode or --key for full mode")
     block = None
     if args.block is not None:
-        # ASCII digits and a leading '-' only: int() would also take '+', '_' and other scripts' digits
-        entries = args.block.split(",")
-        if len(entries) != 4 or not all(re.fullmatch(r"\s*-?[0-9]+\s*", e) for e in entries):
+        try:
+            block = tuple(map(_integer, args.block.split(",")))
+        except argparse.ArgumentTypeError:
+            block = ()
+        if len(block) != 4:
             raise UsageError(f"--block wants x,y,width,height as integers, got {args.block!r}")
-        block = tuple(int(e) for e in entries)
     if args.density is not None:
         analysis.check_density(args.density)
     report = analysis.MetricsReport()
@@ -250,13 +258,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("keygen", help="draw a fresh key file")
     p.add_argument("--key", required=True, help="output key file")
-    p.add_argument("--n", type=int, required=True, help="images are 2**n x 2**n")
-    p.add_argument("--images", type=int, required=True, help="number of images M'")
-    p.add_argument("--depth", type=int, default=8, help="bit depth L (default 8)")
-    p.add_argument("--seed", type=int, default=None, help="deterministic draw seed")
-    p.add_argument("--qm", type=int, default=5, help="keystream scale exponent q")
-    p.add_argument("--rmax1", type=int, default=None, help="stage-1 round cap")
-    p.add_argument("--rmax2", type=int, default=None, help="stage-2 round cap")
+    p.add_argument("--n", type=_integer, required=True, help="images are 2**n x 2**n")
+    p.add_argument("--images", type=_integer, required=True, help="number of images M'")
+    p.add_argument("--depth", type=_integer, default=8, help="bit depth L (default 8)")
+    p.add_argument("--seed", type=_integer, default=None, help="deterministic draw seed")
+    p.add_argument("--qm", type=_integer, default=5, help="keystream scale exponent q")
+    p.add_argument("--rmax1", type=_integer, default=None, help="stage-1 round cap")
+    p.add_argument("--rmax2", type=_integer, default=None, help="stage-2 round cap")
     p.add_argument("--lambda1", type=float, default=None, help="pin lambda1 for all images")
     p.add_argument("--lambda2", type=float, default=None, help="pin lambda2 for all images")
     p.set_defaults(func=cmd_keygen)
@@ -278,7 +286,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--in2", dest="inp2", default=None, help="second set: compare directly")
     p.add_argument("--key", default=None, help="key file: run the full battery")
     p.add_argument("--out", default=None, help="report file (default stdout)")
-    p.add_argument("--seed", type=int, default=0, help="sampler seed")
+    p.add_argument("--seed", type=_integer, default=0, help="sampler seed")
     p.add_argument("--block", default=None, help="occlusion block as x,y,width,height")
     p.add_argument("--density", type=float, default=None, help="salt-and-pepper density")
     p.set_defaults(func=cmd_analyze)
@@ -286,17 +294,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("partitions", help="admissible-partition queries")
     ps = p.add_subparsers(dest="action", required=True)
     q = ps.add_parser("count", help="number of admissible partitions")
-    q.add_argument("n", type=int)
+    q.add_argument("n", type=_integer)
     q.set_defaults(func=cmd_partitions)
     q = ps.add_parser("unrank", help="partition with a given rank")
-    q.add_argument("n", type=int)
+    q.add_argument("n", type=_integer)
     q.add_argument("index", help="rank (arbitrary precision)")
     q.set_defaults(func=cmd_partitions)
     q = ps.add_parser("check", help="report admissibility of a width list")
     q.add_argument("widths")
     q.set_defaults(func=cmd_partitions)
     q = ps.add_parser("list", help="enumerate all admissible partitions (n <= 3)")
-    q.add_argument("n", type=int)
+    q.add_argument("n", type=_integer)
     q.set_defaults(func=cmd_partitions)
 
     p = sub.add_parser("circuit", help="SWAP-circuit synthesis and verification")
@@ -317,12 +325,12 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--lambda2", type=float, required=True)
     q.add_argument("--x0", type=float, default=0.1)
     q.add_argument("--y0", type=float, default=0.1)
-    q.add_argument("--count", type=int, default=100)
+    q.add_argument("--count", type=_integer, default=100)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_appendix_henon)
     q = ps.add_parser("chebyshev", help="polynomial value table")
-    q.add_argument("--kmax", type=int, default=8)
-    q.add_argument("--points", type=int, default=41)
+    q.add_argument("--kmax", type=_integer, default=8)
+    q.add_argument("--points", type=_integer, default=41)
     q.add_argument("--out", default=None)
     q.set_defaults(func=cmd_appendix_chebyshev)
 

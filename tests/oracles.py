@@ -2,11 +2,11 @@
 
 The package runs only whole-lattice forms: baker.permutation_table for the
 baker map, chaos.keystream_grid for the keystream,
-qcircuit.simulate_permutation for circuits, and
-BitPlaneStack.padding_bit_count for stray padding bits.  The functions here
-state the same rules one point, one pixel or one slot at a time, as the
-paper defines them, so tests can compare the two statements entry by entry.
-stack_of_bits packs a bit tensor into a stack through brqmi's own codec.
+qcircuit.simulate_permutation for circuits, and brqmi.recompose's count of
+stray padding bits.  The functions here state the same rules one point, one
+pixel or one slot at a time, as the paper defines them, so tests can compare
+the two statements entry by entry.  stack_of_bits packs a bit tensor into a
+stack through brqmi's own codec.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from bakermic.baker import BakerPartition
-from bakermic.brqmi import BitPlaneStack, _dtype_for_depth, _join_planes
+from bakermic.brqmi import MultiImage, _dtype_for_depth, _join_planes
 from bakermic.chaos import RankPerms, chebyshev
 from bakermic.qcircuit import Circuit
 
@@ -117,22 +117,19 @@ def key_bits(i: int, j: int, perms: RankPerms, q: int, k: int) -> np.ndarray:
 # Stacks from bit tensors; padding, one (image, plane) slot at a time
 
 
-def stack_of_bits(bits: np.ndarray, m_prime: int | None = None, bit_depth: int | None = None) -> BitPlaneStack:
-    """The stack whose tensor bits[image, plane, x, y] is bits, packed by brqmi's codec.
+def stack_of_bits(bits: np.ndarray) -> MultiImage:
+    """The stack (2**k images of 2**k-bit pixels) whose tensor bits[image, plane, x, y] is bits.
 
-    n and k come from the tensor's shape; m_prime and bit_depth default to
-    the stack side, every slot live.
+    Packed by brqmi's codec; n and k come from the tensor's shape.
     """
     s, _, side, _ = bits.shape
-    words = _join_planes(bits.reshape(s, s, -1), np.empty((s, side * side), _dtype_for_depth(s)))
-    k, n = s.bit_length() - 1, side.bit_length() - 1
-    return BitPlaneStack(n=n, k=k, m_prime=m_prime or s, bit_depth=bit_depth or s, words=words)
+    pixels = _join_planes(bits, np.empty((s, side, side), _dtype_for_depth(s)))
+    return MultiImage(n=side.bit_length() - 1, bit_depth=s, pixels=pixels)
 
 
-def padding_mask(stack: BitPlaneStack) -> np.ndarray:
-    """Boolean mask over (image, plane) slots that carry no source data."""
-    s = stack.stack_side
-    mask = np.zeros((s, s), dtype=bool)
-    mask[stack.m_prime :, :] = True
-    mask[:, stack.bit_depth :] = True
+def padding_mask(side: int, m_prime: int, bit_depth: int) -> np.ndarray:
+    """Boolean mask over a stack's side x side (image, plane) slots that carry none of m_prime bit_depth-bit images."""
+    mask = np.zeros((side, side), dtype=bool)
+    mask[m_prime:, :] = True
+    mask[:, bit_depth:] = True
     return mask

@@ -200,12 +200,12 @@ def test_criterion_05_diffusion_involution(announce):
         stack = decompose(images)
         twice = cipher.diffuse(cipher.diffuse(stack, grids), grids)
         # diffusing a zero stack lays the stacked keystream over all 4**(n+k) sites
-        zero = cipher.diffuse(dataclasses.replace(stack, words=np.zeros_like(stack.words)), grids)
-        keystream = np.stack([grids[i % m] for i in range(1 << key.k)]).reshape(zero.words.shape)
+        zero = cipher.diffuse(dataclasses.replace(stack, pixels=np.zeros_like(stack.pixels)), grids)
+        keystream = np.stack([grids[i % m] for i in range(1 << key.k)])
         results.append(
             np.array_equal(twice.bits, stack.bits)
             and zero.bits.size == 1 << (2 * (key.n + key.k))
-            and np.array_equal(zero.words, keystream)
+            and np.array_equal(zero.pixels, keystream)
         )
     ok = all(results)
     announce(

@@ -1,5 +1,4 @@
 import ast
-import dataclasses
 import os
 from pathlib import Path
 
@@ -8,14 +7,12 @@ import pytest
 
 from bakermic import brqmi
 from bakermic.brqmi import (
-    BitPlaneStack,
     MultiImage,
     _dtype_for_depth,
     decompose,
     load_multi,
     read_pgm,
     recompose,
-    recompose_all,
     save_multi,
     stack_exponent,
     write_atomic,
@@ -56,6 +53,17 @@ def test_multi_image_validation():
         MultiImage(n=2, bit_depth=2, pixels=np.full((1, 4, 4), 4, dtype=np.uint8))
     with pytest.raises(ValueError):
         MultiImage(n=-1, bit_depth=8, pixels=np.zeros((1, 1, 1), dtype=np.uint8))
+    # a cast would wrap -1 to 255 and truncate 0.7 and 3.9 to 0 and 3
+    with pytest.raises(ValueError, match="nonnegative"):
+        MultiImage(n=1, bit_depth=8, pixels=[[[-1, 0], [0, 0]]])
+    for pixels in ([[[0.7, 3.9], [0, 0]]], np.zeros((1, 2, 2), dtype=np.float32), np.zeros((1, 2, 2), dtype=bool)):
+        with pytest.raises(ValueError, match="pixels must be integers"):
+            MultiImage(n=1, bit_depth=8, pixels=pixels)
+    # an unsigned dtype wider than the depth is still scanned for its maximum
+    with pytest.raises(ValueError, match="below 16"):
+        MultiImage(n=1, bit_depth=4, pixels=np.full((1, 2, 2), 16, dtype=np.uint16))
+    # nonnegative signed integers are taken, and cast to the depth's unsigned dtype
+    assert MultiImage(n=1, bit_depth=8, pixels=[[[255, 0], [1, 2]]]).pixels.dtype == np.uint8
     # a single 1x1 image is degenerate but well formed
     assert MultiImage(n=0, bit_depth=8, pixels=np.zeros((1, 1, 1), dtype=np.uint8)).side == 1
 
@@ -74,20 +82,19 @@ def test_decompose_plane_order():
 def test_decompose_padding_zero():
     img = random_images(n=2, count=3, seed=7)
     stack = decompose(img)
-    side = stack.stack_side
-    assert side == 8
+    assert stack.m_prime == stack.bit_depth == 8
     # slots at or above the image count and planes at or above the depth stay clear
     assert not stack.bits[3:].any()
     assert not stack.bits[:, 8:].any()
-    assert stack.padding_bit_count() == 0
+    assert recompose(stack, 3, 8)[1] == 0
 
 
 def test_padding_mask_counts():
     img = random_images(n=2, count=3, seed=11)
     stack = decompose(img)
-    mask = padding_mask(stack)
+    mask = padding_mask(stack.m_prime, img.m_prime, img.bit_depth)
     # one flag per (image, plane) slot
-    assert mask.shape == (stack.stack_side, stack.stack_side)
+    assert mask.shape == (stack.m_prime, stack.bit_depth)
     # 8x8 grid of slots, 3 images of 8 planes are real
     real = 3 * 8
     assert int(mask.sum()) == 64 - real
@@ -101,22 +108,26 @@ def test_padding_bit_count_matches_mask():
         for m_prime in range(1, side + 1):
             for depth in range(1, side + 1):
                 bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
-                stack = stack_of_bits(bits, m_prime, depth)
-                assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum())
+                stray = recompose(stack_of_bits(bits), m_prime, depth)[1]
+                assert stray == int(bits[padding_mask(side, m_prime, depth)].sum())
 
 
 def test_stack_packs_the_bits_it_is_given():
-    # the stack holds the ciphertext's words; bits is unpacked from them, read-only
+    # the stack is 2**k images of 2**k-bit pixels; bits is unpacked from them,
+    # read-only, and decompose copies a full stack unchanged
     rng = np.random.default_rng(19)
     for k in range(6):
         side = 1 << k
         bits = rng.integers(0, 2, size=(side, side, 4, 4), dtype=np.uint8)
         stack = stack_of_bits(bits)
-        assert stack.words.shape == (side, 16) and stack.words.dtype == _dtype_for_depth(side)
-        weights = 1 << np.arange(side, dtype=np.int64)[:, None]
-        assert np.array_equal(stack.words, (bits.reshape(side, side, -1) * weights).sum(axis=1))
+        assert stack.m_prime == stack.bit_depth == side
+        assert stack.pixels.shape == (side, 4, 4) and stack.pixels.dtype == _dtype_for_depth(side)
+        weights = (1 << np.arange(side, dtype=np.int64)).reshape(1, side, 1, 1)
+        assert np.array_equal(stack.pixels, (bits.astype(np.int64) * weights).sum(axis=1))
         assert np.array_equal(stack.bits, bits)
         assert not stack.bits.flags.writeable
+        copy = decompose(stack)
+        assert np.array_equal(copy.pixels, stack.pixels) and not np.shares_memory(copy.pixels, stack.pixels)
 
 
 def test_padding_bit_count_matches_the_byte_tensor_at_every_k():
@@ -126,14 +137,15 @@ def test_padding_bit_count_matches_the_byte_tensor_at_every_k():
         for m_prime in sorted({1, max(1, side // 2), side}):
             for depth in sorted({1, max(1, side // 2), max(1, side - 1), side}):
                 bits = rng.integers(0, 2, size=(side, side, 2, 2), dtype=np.uint8)
-                stack = stack_of_bits(bits, m_prime, depth)
-                assert stack.padding_bit_count() == int(bits[padding_mask(stack)].sum()), (k, m_prime, depth)
+                stray = recompose(stack_of_bits(bits), m_prime, depth)[1]
+                assert stray == int(bits[padding_mask(side, m_prime, depth)].sum()), (k, m_prime, depth)
 
 
 def test_recompose_roundtrip():
     for depth in range(1, 17):
         img = random_images(n=3, count=(depth % 7) + 1, seed=depth, bit_depth=depth)
-        back = recompose(decompose(img))
+        back, stray = recompose(decompose(img), img.m_prime, img.bit_depth)
+        assert stray == 0
         assert back.bit_depth == img.bit_depth
         assert back.pixels.dtype == img.pixels.dtype
         assert np.array_equal(back.pixels, img.pixels)
@@ -145,52 +157,25 @@ def test_recompose_ignores_stray_padding():
     stack = decompose(img)
     bits = stack.bits.copy()
     bits[3, 1, 0, 0] = 1
-    dirty = stack_of_bits(bits, stack.m_prime, stack.bit_depth)
-    back = recompose(dirty)
+    back, stray = recompose(stack_of_bits(bits), img.m_prime, img.bit_depth)
     assert np.array_equal(back.pixels, img.pixels)
-    assert dirty.padding_bit_count() == 1
+    assert stray == 1
 
 
-def test_recompose_all_full_stack():
+def test_recompose_refuses_more_than_the_stack_holds():
+    stack = stack_of_bits(np.zeros((2, 2, 4, 4), dtype=np.uint8))
+    for m_prime, depth in ((3, 2), (0, 2), (2, 3), (2, 0)):
+        with pytest.raises(ValueError, match=f"{m_prime} images of {depth} bits do not fit 2 of 2 bits"):
+            recompose(stack, m_prime, depth)
+
+
+def test_decompose_is_the_full_stack():
     img = random_images(n=2, count=3, seed=13)
     stack = decompose(img)
-    full = recompose_all(stack)
-    assert full.m_prime == stack.stack_side
-    assert full.bit_depth == stack.stack_side
-    # the first three slots reproduce the originals since padding planes are zero
-    assert np.array_equal(full.pixels[:3], img.pixels)
-    assert not full.pixels[3:].any()
-
-
-def test_recompose_all_joins_a_random_full_stack():
-    # k=4, every slot live: the shape of 16-bit ciphertext
-    rng = np.random.default_rng(17)
-    bits = rng.integers(0, 2, size=(16, 16, 4, 4), dtype=np.uint8)
-    stack = stack_of_bits(bits)
-    full = recompose_all(stack)
-    weights = (1 << np.arange(16, dtype=np.int64)).reshape(1, 16, 1, 1)
-    assert full.pixels.dtype == np.uint16
-    assert np.array_equal(full.pixels, (bits.astype(np.int64) * weights).sum(axis=1))
-    assert np.array_equal(decompose(full).bits, bits)
-
-
-def test_bitplane_stack_validation():
-    words = np.zeros((2, 16), dtype=np.uint8)
-    # image count or bit depth exceeding the stack side
-    with pytest.raises(ValueError, match="image count"):
-        BitPlaneStack(n=2, k=1, m_prime=3, bit_depth=2, words=words)
-    with pytest.raises(ValueError, match="bit depth"):
-        BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=3, words=words)
-    # words of the wrong shape or dtype, or no array at all
-    for bad in (np.zeros((2, 16), dtype=np.uint16), np.zeros((2, 15), dtype=np.uint8), None):
-        with pytest.raises(ValueError, match="words must have shape"):
-            BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=bad)
-    # the stack is frozen, and a replaced stack is checked again
-    stack = BitPlaneStack(n=2, k=1, m_prime=2, bit_depth=2, words=words)
-    with pytest.raises(dataclasses.FrozenInstanceError):
-        stack.words = words
-    with pytest.raises(ValueError, match="words must have shape"):
-        dataclasses.replace(stack, words=words[:, :15])
+    assert stack.m_prime == stack.bit_depth == 8 and stack.pixels.dtype == np.uint8
+    # the first three images are the originals since padding planes are zero
+    assert np.array_equal(stack.pixels[:3], img.pixels)
+    assert not stack.pixels[3:].any()
 
 
 def test_only_brqmi_packs_or_unpacks_planes():

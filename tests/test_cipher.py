@@ -582,14 +582,16 @@ def test_diffuse_involution_and_count():
     grids = cipher_module._grids(seeded(key, images))
     stack = decompose(images)
     # a zero stack takes the stacked keystream at every one of the 4**(n+k) sites
-    zero = diffuse(dataclasses.replace(stack, words=np.zeros_like(stack.words)), grids)
+    zero = diffuse(dataclasses.replace(stack, pixels=np.zeros_like(stack.pixels)), grids)
     keystream = np.stack([grids[m % key.m_prime] for m in range(1 << key.k)])
     assert zero.bits.size == 1 << (2 * (key.n + key.k))
-    assert np.array_equal(zero.words, keystream.reshape(zero.words.shape))
+    assert np.array_equal(zero.pixels, keystream)
     once = diffuse(stack, grids)
     assert not np.array_equal(once.bits, stack.bits)
     twice = diffuse(once, grids)
     assert np.array_equal(twice.bits, stack.bits)
+    with pytest.raises(ValueError, match="a stack holds"):
+        diffuse(images, grids)
 
 
 def test_diffuse_matches_scalar_keystream():
@@ -619,6 +621,37 @@ def test_encrypt_decrypt_roundtrip():
     assert stray == 0
     assert back.m_prime == 3 and back.bit_depth == 8
     assert np.array_equal(back.pixels, images.pixels)
+
+
+def test_encrypt_and_decrypt_leave_their_inputs_alone():
+    # each returns fresh arrays and writes none of the caller's
+    key = make_key(n=3, m_prime=3, bit_depth=8, rng=random.Random(6))
+    images = random_images(n=3, count=3, seed=15)
+    before = images.pixels.copy()
+    cipher, updated = encrypt(images, key)
+    assert np.array_equal(images.pixels, before) and not np.shares_memory(cipher.pixels, images.pixels)
+    held = cipher.pixels.copy()
+    back, stray = decrypt(cipher, updated)
+    assert stray == 0 and np.array_equal(back.pixels, before)
+    assert np.array_equal(cipher.pixels, held) and not np.shares_memory(back.pixels, cipher.pixels)
+
+
+STAGES = (scramble_images_planes, inverse_scramble_images_planes, scramble_positions, inverse_scramble_positions)
+
+
+@pytest.mark.parametrize("stage", STAGES, ids=lambda f: f.__name__)
+def test_stages_refuse_a_schedule_for_another_geometry(stage):
+    stack = decompose(random_images(n=2, count=2, seed=16, bit_depth=4))  # n=2, k=2
+    for n, k in ((3, 2), (2, 3), (1, 2), (2, 1)):
+        sched = derive_schedule(make_key(n=n, m_prime=1 << k, bit_depth=1 << k, rng=random.Random(n + k)))
+        with pytest.raises(ValueError, match=f"schedule is for n={n}, k={k}, but the stack has n=2, k=2"):
+            stage(stack, sched)
+    # only a stack, 2**k images of 2**k-bit pixels, is taken
+    sched = derive_schedule(fixed_small_key())
+    for count, depth in ((2, 4), (3, 3)):
+        images = random_images(n=2, count=count, seed=16, bit_depth=depth)
+        with pytest.raises(ValueError, match="a stack holds 2\\*\\*k images of 2\\*\\*k-bit pixels"):
+            stage(images, sched)
 
 
 def test_encrypt_peak_memory_is_a_few_stacks():

@@ -374,6 +374,37 @@ def test_partitions_commands(tmp_path, capsys):
     assert capsys.readouterr().out.strip() == str(unrank(3, 10))
 
 
+def test_integer_options_take_ascii_digits_only(tmp_path, capsys):
+    # int() would read these as 10, 3, 3 and 10: every integer option takes
+    # ASCII digits, an optional leading '-' and whitespace around them
+    key = tmp_path / "k.key"
+    keygen = ("keygen", "--key", str(key), "--n", "2", "--images", "2")
+    refused = [
+        ("partitions", "count", "+1_0"),
+        ("partitions", "count", "\u0663"),
+        ("partitions", "list", "+2"),
+        ("partitions", "unrank", "1_0", "0"),
+        ("keygen", "--key", str(key), "--n", "\u0663", "--images", "+3", "--seed", "1_0"),
+        *((*keygen, flag, value)
+          for flag in ("--depth", "--seed", "--qm", "--rmax1", "--rmax2")
+          for value in ("+3", "1_0", "\u0663")),
+        ("analyze", "--in", "a.txt", "--in2", "b.txt", "--seed", "+0"),
+        ("appendix", "henon", "--lambda1", "3", "--lambda2", "3", "--count", "1_0"),
+        ("appendix", "chebyshev", "--kmax", "+8"),
+        ("appendix", "chebyshev", "--points", "\u0663"),
+    ]
+    for argv in refused:
+        assert run(*argv) == 1, argv
+        assert "expected an integer in ASCII digits" in capsys.readouterr().err, argv
+    assert not key.exists()
+    # whitespace and a '-' are taken, and range checks stay where they were
+    assert run("partitions", "count", " 3 ") == 0
+    assert capsys.readouterr().out.strip() == "26"
+    assert run(*keygen, "--seed", "-5", "--depth", " 4") == 0 and read_key(key).bit_depth == 4
+    assert run("analyze", "--in", "a.txt", "--in2", "b.txt", "--seed", " -1 ") == 1
+    assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
+
+
 def test_partitions_refuses_large_n_before_counting(capsys, monkeypatch):
     def no_count(n):
         raise AssertionError("C(n) was computed before the refusal")

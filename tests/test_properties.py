@@ -60,7 +60,7 @@ def test_round_trip(case):
 def test_zero_rounds_leave_both_stages_the_identity(case):
     images, rank_seed = case
     stack = decompose(images)
-    n, k = stack.n, stack.k
+    n, k = stack.n, stack.m_prime.bit_length() - 1
     rng = random.Random(rank_seed)
     sched = KeySchedule(
         n=n,
