@@ -178,6 +178,20 @@ def test_decompose_is_the_full_stack():
     assert not stack.pixels[3:].any()
 
 
+def test_recompose_all_joins_a_random_full_stack():
+    # k=4, every slot live: the shape of 16-bit ciphertext, which recompose
+    # joins whole, with no slot or plane to drop
+    rng = np.random.default_rng(17)
+    bits = rng.integers(0, 2, size=(16, 16, 4, 4), dtype=np.uint8)
+    stack = stack_of_bits(bits)
+    full, stray = recompose(stack, 16, 16)
+    weights = (1 << np.arange(16, dtype=np.int64)).reshape(1, 16, 1, 1)
+    assert stray == 0
+    assert full.pixels.dtype == np.uint16
+    assert np.array_equal(full.pixels, (bits.astype(np.int64) * weights).sum(axis=1))
+    assert np.array_equal(decompose(full).bits, bits)
+
+
 def test_only_brqmi_packs_or_unpacks_planes():
     # plane order is stated once, in brqmi's codec: no other module packs
     # planes with bitwise_or.reduce, and cipher unpacks none by a right shift
