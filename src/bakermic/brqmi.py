@@ -60,9 +60,9 @@ def _popcount(values: np.ndarray) -> int:
     return int(_POP8[np.ascontiguousarray(values).view(np.uint8)].sum(dtype=np.int64))
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class MultiImage:
-    """An ordered set of equally sized square grayscale images.
+    """An ordered set of equally sized square grayscale images, checked when built and fixed after.
 
     The padded stack, and so the ciphertext, is one too: 2**k images of
     2**k-bit pixels, where bit l of image i's pixels is slot (i, l).
@@ -71,7 +71,8 @@ class MultiImage:
         n: pixel lattices are 2**n x 2**n.
         bit_depth: pixels hold values in [0, 2**bit_depth).
         pixels: integer array of shape (m_prime, 2**n, 2**n), held in the
-            narrowest unsigned dtype for bit_depth.
+            narrowest unsigned dtype for bit_depth: a read-only view of the
+            array given (cast if its dtype differs), not a copy.
     """
 
     n: int
@@ -83,25 +84,27 @@ class MultiImage:
             raise ValueError("n must be nonnegative")
         if self.bit_depth < 1:
             raise ValueError("bit depth must be at least 1")
-        self.pixels = np.asarray(self.pixels)
-        if self.pixels.ndim != 3:
+        pixels = np.asarray(self.pixels)
+        if pixels.ndim != 3:
             raise ValueError("pixels must have shape (images, side, side)")
-        side, (count, height, width) = 1 << self.n, self.pixels.shape
+        side, (count, height, width) = 1 << self.n, pixels.shape
         if count < 1:
             raise ValueError("at least one image is required")
         if (height, width) != (side, side):
             raise ValueError(f"image side must be {side} for n={self.n}, got {height}x{width}")
         # the cast below would wrap negative values and truncate fractions; an
         # unsigned dtype no wider than bit_depth (every stack) needs neither scan
-        dtype = self.pixels.dtype
+        dtype = pixels.dtype
         if dtype.kind not in "iu":
             raise ValueError(f"pixels must be integers, got dtype {dtype}")
-        if dtype.kind == "i" and self.pixels.size and int(self.pixels.min()) < 0:
+        if dtype.kind == "i" and pixels.size and int(pixels.min()) < 0:
             raise ValueError("pixel values must be nonnegative")
         limit = 1 << self.bit_depth
-        if self.pixels.size and np.iinfo(dtype).max >= limit and int(self.pixels.max()) >= limit:
+        if pixels.size and np.iinfo(dtype).max >= limit and int(pixels.max()) >= limit:
             raise ValueError(f"pixel values must be below {limit}")
-        self.pixels = self.pixels.astype(_dtype_for_depth(self.bit_depth), copy=False)
+        pixels = pixels.astype(_dtype_for_depth(self.bit_depth), copy=False).view()
+        pixels.flags.writeable = False
+        object.__setattr__(self, "pixels", pixels)
 
     @property
     def m_prime(self) -> int:
@@ -257,7 +260,7 @@ def load_multi(manifest_path: str | os.PathLike) -> MultiImage:
     if len(shapes) != 1:
         raise ValueError(f"{manifest_path}: images disagree on size")
     h, w = shapes.pop()
-    if h != w or h & (h - 1):
+    if h < 1 or h != w or h & (h - 1):
         raise ValueError(f"{manifest_path}: images must be square with power-of-two side")
     n = h.bit_length() - 1
     return MultiImage(n=n, bit_depth=depth, pixels=np.stack(arrays))

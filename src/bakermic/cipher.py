@@ -73,9 +73,6 @@ class SecretKey:
     bit_count: int | None = None
 
     def __post_init__(self) -> None:
-        self.validate()
-
-    def validate(self) -> None:
         if self.n < 0 or self.k < 0:
             raise ValueError("lattice exponents must be nonnegative")
         if self.m_prime < 1 or self.bit_depth < 1:
@@ -284,25 +281,25 @@ def read_key(path) -> SecretKey:
 # Key schedule
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class KeySchedule:
     """Per-site baker selections for both scrambling stages.
 
     Sites go in row-major order.  stage1 is _draws' read-only (partition rank,
     rounds) array, one entry per pixel (2 bytes each at k=3: 512 KB at n=9),
-    with partitions on the 2**k (image, plane) lattice.  stage2 has one pair of
-    ints per (image, plane) slot, with partitions on the 2**n pixel lattice.
+    with partitions on the 2**k (image, plane) lattice.  stage2 is a tuple of one
+    pair of Python ints per (image, plane) slot, on the 2**n pixel lattice.
 
     stage1_tables holds every stage-1 forward table, built on first use and
-    kept, read-only.  stage2_table builds one slot's forward table, in intp
-    the caller may overwrite, from the cached, read-only stage2_layout, so no
-    pass repeats a slot's partition work.
+    kept, read-only.  stage2_table powers one slot's forward table into the
+    caller's pool from the cached, read-only stage2_layout, so no pass repeats
+    a slot's partition work.  The schedule is frozen, so both caches hold.
     """
 
     n: int
     k: int
     stage1: np.ndarray
-    stage2: list[tuple[int, int]]
+    stage2: tuple[tuple[int, int], ...]
 
     @functools.cached_property
     def stage1_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -343,8 +340,8 @@ class KeySchedule:
         low.flags.writeable = cols.flags.writeable = False
         return low, cols
 
-    def stage2_table(self, s: int, pool: list | None = None) -> np.ndarray:
-        """Slot s's intp forward table from stage2_layout: fresh, or powered in pool (see _power) until its next use."""
+    def stage2_table(self, s: int, pool: list) -> np.ndarray:
+        """Slot s's intp forward table from stage2_layout, powered in pool (see _power): valid until pool's next use."""
         low, cols = self.stage2_layout
         return _power(baker.strip_tables(self.n, low[s], cols[s]), self.stage2[s][1], pool)
 
@@ -405,8 +402,8 @@ def derive_schedule(key: SecretKey) -> KeySchedule:
         baker.count_partitions(key.n),
         key.r_max2,
         1 << (2 * key.k),
-    ).tolist()
-    return KeySchedule(n=key.n, k=key.k, stage1=stage1, stage2=stage2)
+    )
+    return KeySchedule(n=key.n, k=key.k, stage1=stage1, stage2=tuple(stage2.tolist()))
 
 
 # ---------------------------------------------------------------------------

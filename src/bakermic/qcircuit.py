@@ -16,7 +16,7 @@ parent's, and that composition provably never touches the control wires.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,22 +67,21 @@ class Gate:
             raise ValueError("control wires must be disjoint from targets")
 
 
-@dataclass
+@dataclass(frozen=True)
 class Circuit:
+    """A gate sequence on 2n wires, checked when built: a tuple of gates, each on wires in [0, 2n)."""
+
     n: int
-    gates: list[Gate] = field(default_factory=list)
+    gates: tuple[Gate, ...] = ()
 
     def __post_init__(self):
         if self.n < 0:
             raise ValueError("n must be nonnegative")
-        _check_wires(self.n, self.gates)
-
-
-def _check_wires(n: int, gates: list[Gate]) -> None:
-    for g in gates:
-        for w in g.targets + tuple(w for w, _ in g.controls):
-            if not 0 <= w < 2 * n:
-                raise ValueError(f"gate uses wire {w}, but the circuit has {2 * n} wires")
+        object.__setattr__(self, "gates", tuple(self.gates))
+        for g in self.gates:
+            for w in g.targets + tuple(w for w, _ in g.controls):
+                if not 0 <= w < 2 * self.n:
+                    raise ValueError(f"gate uses wire {w}, but the circuit has {2 * self.n} wires")
 
 
 @dataclass(frozen=True)
@@ -226,12 +225,11 @@ def simulate_permutation(circuit: Circuit) -> np.ndarray:
     control axes, then swaps the block where its targets read (1, 0) with
     the block where they read (0, 1), so it touches only the 2**(2n - c - 1)
     states it can move.  Refuses circuits wider than 24 wires (2**24 states,
-    a 128 MB array) and gates on wires outside [0, 2n), before allocating.
+    a 128 MB array) before allocating.
     """
     n = circuit.n
     if 2 * n > 24:
         raise ValueError(f"n={n}: simulation is capped at 2**24 states (n <= 12)")
-    _check_wires(n, circuit.gates)  # the gate list may have changed since Circuit checked it
     perm = np.arange(1 << (2 * n), dtype=np.int64)
     cube = perm.reshape((2,) * (2 * n))  # axis 2n - 1 - j holds bit j
     for g in reversed(circuit.gates):
@@ -254,8 +252,7 @@ def verify(circuit: Circuit, part: BakerPartition) -> bool:
     """Check the circuit against the map's whole-lattice permutation.
 
     Compares simulate_permutation's array with permutation_table's, so it
-    raises ValueError where that does: above 2**24 states (n > 12), or for a
-    gate on a wire outside the circuit.
+    raises ValueError where that does: above 2**24 states (n > 12).
     """
     if circuit.n != part.n:
         return False

@@ -262,12 +262,13 @@ def test_manifest_rejects_mixed_sizes(tmp_path):
 
 
 def test_manifest_rejects_non_square(tmp_path):
-    pixels = np.zeros((4, 8), dtype=np.uint16)
-    write_pgm(tmp_path / "r.pgm", pixels, maxval=255)
+    # a 0x0 image is square, but its side 0 is no power of two
     manifest = tmp_path / "bad.txt"
     manifest.write_text("r.pgm\n")
-    with pytest.raises(ValueError):
-        load_multi(manifest)
+    for shape in ((4, 8), (0, 0)):
+        write_pgm(tmp_path / "r.pgm", np.zeros(shape, dtype=np.uint16), maxval=255)
+        with pytest.raises(ValueError, match="images must be square with power-of-two side"):
+            load_multi(manifest)
 
 
 def test_write_atomic_follows_symlinks(tmp_path):

@@ -86,30 +86,29 @@ def test_make_key_pins():
 
 def test_key_validation():
     key = fixed_small_key()
-    key.validate()
     with pytest.raises(ValueError):
-        dataclasses.replace(key, k=5).validate()
+        dataclasses.replace(key, k=5)
     with pytest.raises(ValueError):
-        dataclasses.replace(key, image_params=key.image_params[:1]).validate()
+        dataclasses.replace(key, image_params=key.image_params[:1])
     bad_ip = (ImageParams(0.5, 3.0, 5),) + key.image_params[1:]
     with pytest.raises(ValueError):
-        dataclasses.replace(key, image_params=bad_ip).validate()
+        dataclasses.replace(key, image_params=bad_ip)
     bad_q = (ImageParams(2.5, 3.0, 3),) + key.image_params[1:]
     with pytest.raises(ValueError):
-        dataclasses.replace(key, image_params=bad_q).validate()
+        dataclasses.replace(key, image_params=bad_q)
     with pytest.raises(ValueError):
-        dataclasses.replace(key, stage_a=ScheduleParams(2.0, 2.0, 1.5, 0.0)).validate()
+        dataclasses.replace(key, stage_a=ScheduleParams(2.0, 2.0, 1.5, 0.0))
     for huge in (math.inf, 1e308, 2.9e307):
         huge_ip = (ImageParams(2.5, huge, 5),) + key.image_params[1:]
         with pytest.raises(ValueError, match="image 0 lambda factors"):
-            dataclasses.replace(key, image_params=huge_ip).validate()
+            dataclasses.replace(key, image_params=huge_ip)
         with pytest.raises(ValueError, match="stage_b lambda factors"):
-            dataclasses.replace(key, stage_b=ScheduleParams(huge, 2.0, 0.5, 0.0)).validate()
-    dataclasses.replace(key, stage_b=ScheduleParams(1e300, 1e300, 0.5, 0.0)).validate()
+            dataclasses.replace(key, stage_b=ScheduleParams(huge, 2.0, 0.5, 0.0))
+    dataclasses.replace(key, stage_b=ScheduleParams(1e300, 1e300, 0.5, 0.0))
     with pytest.raises(ValueError):
-        dataclasses.replace(key, r_max1=0).validate()
+        dataclasses.replace(key, r_max1=0)
     with pytest.raises(ValueError):
-        dataclasses.replace(key, intensity_sum=5).validate()  # bit_count missing
+        dataclasses.replace(key, intensity_sum=5)  # bit_count missing
 
 
 def test_key_refuses_more_than_32_images_or_bits(tmp_path):
@@ -498,7 +497,7 @@ def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
 def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
     # every rounds value 0..2n+1 with repeated ranks, one slot at a time;
     # stage 2 reads no _CHUNK, so each table holds at any chunk.  Each is a
-    # fresh, writable intp array, apart from the layout and baker._rows
+    # writable intp array, apart from the layout and baker._rows
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
     rounds = list(range(2 * n + 2)) * 2
@@ -507,8 +506,9 @@ def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
     sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
     sched = KeySchedule(n=n, k=0, stage1=stage1_array([]), stage2=sels)
     kept = (*sched.stage2_layout, baker_module._rows(n))
+    pool = [np.empty(1 << (2 * n), np.intp) for _ in range(2)]
     for s, (rank, r) in enumerate(sels):
-        table = sched.stage2_table(s)
+        table = sched.stage2_table(s, pool)
         assert table.dtype == np.intp and table.shape == (1 << (2 * n),) and table.flags.writeable
         assert not any(np.shares_memory(table, array) for array in kept), (rank, r)
         assert np.array_equal(table, _power(permutation_table(unrank(n, rank)), r)), (rank, r)

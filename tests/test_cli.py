@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import random
 
@@ -143,8 +144,9 @@ def test_decrypt_warns_when_the_plaintext_sums_differ(tmp_path, capsys):
     flipped = tmp_path / "f" / "set.txt"
     flipped.parent.mkdir()
     damaged = load_multi(cipher)
-    damaged.pixels[0, 0, 0] ^= 1
-    save_multi(damaged, flipped)
+    pixels = damaged.pixels.copy()
+    pixels[0, 0, 0] ^= 1
+    save_multi(dataclasses.replace(damaged, pixels=pixels), flipped)
 
     wrong = tmp_path / "wrong.key"
     assert run("keygen", "--key", str(wrong), "--n", "3", "--images", "8", "--seed", "6") == 0

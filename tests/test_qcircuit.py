@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -99,13 +100,16 @@ def test_simulate_is_always_a_bijection():
 
 
 def test_simulate_refuses_a_wire_added_out_of_range():
-    # Circuit checks its wires only when built; the gate list stays mutable.
+    # Circuit checks its wires when built, and its gates are a tuple, so no
+    # out-of-range wire can reach simulate_permutation or verify afterwards
+    with pytest.raises(ValueError, match="wire 5"):
+        Circuit(n=1, gates=[Gate(targets=(0, 5))])
     circ = Circuit(n=1)
-    circ.gates.append(Gate(targets=(0, 5)))
+    assert circ.gates == ()
+    with pytest.raises(AttributeError):
+        circ.gates.append(Gate(targets=(0, 5)))
     with pytest.raises(ValueError, match="wire 5"):
-        simulate_permutation(circ)
-    with pytest.raises(ValueError, match="wire 5"):
-        verify(circ, from_widths((1, 1)))
+        dataclasses.replace(circ, gates=(Gate(targets=(0, 5)),))
 
 
 def simulate_peak(circ):
@@ -147,7 +151,7 @@ def test_simulate_refuses_more_than_2_24_states():
 
 def test_synthesize_trivial_partitions():
     # the single full block is the identity map: no gates at all
-    assert synthesize(from_widths((8,))).gates == []
+    assert synthesize(from_widths((8,))).gates == ()
     # unit blocks exchange the x and y registers wire by wire
     circ = synthesize(from_widths((1,) * 8))
     assert len(circ.gates) == 3
