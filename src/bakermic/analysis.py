@@ -8,12 +8,13 @@ All samplers are seeded, so reported numbers are reproducible.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .brqmi import MultiImage, _popcount
-from .cipher import SecretKey, decrypt
+from .cipher import SecretKey, decrypt_all
 
 DIRECTIONS = {
     "horizontal": (0, 1),
@@ -133,12 +134,12 @@ def add_salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiI
     return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
 
 
-def _recovery_psnr(damaged: MultiImage, key: SecretKey, plain: MultiImage) -> np.ndarray:
-    """Per-image PSNR of the decrypted damaged ciphertext against the plaintext."""
-    recovered, _ = decrypt(damaged, key)
-    return np.array(
-        [psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth) for m in range(plain.m_prime)]
-    )
+def recovery_psnr(damaged: Sequence[MultiImage], key: SecretKey, plain: MultiImage) -> list[np.ndarray]:
+    """Per-image PSNR against the plaintext of each damaged ciphertext, all decrypted together by decrypt_all."""
+    return [
+        np.array([psnr(recovered.pixels[m], plain.pixels[m], plain.bit_depth) for m in range(plain.m_prime)])
+        for recovered, _ in decrypt_all(damaged, key)
+    ]
 
 
 def occlusion_test(
@@ -148,7 +149,7 @@ def occlusion_test(
     block: tuple[int, int, int, int],
 ) -> np.ndarray:
     """Per-image PSNR of decryption after zeroing a ciphertext block."""
-    return _recovery_psnr(occlude(cipher, block), key, plain)
+    return recovery_psnr([occlude(cipher, block)], key, plain)[0]
 
 
 def noise_test(
@@ -159,7 +160,7 @@ def noise_test(
     seed: int = 0,
 ) -> np.ndarray:
     """Per-image PSNR of decryption after salt-and-pepper ciphertext noise."""
-    return _recovery_psnr(add_salt_pepper(cipher, density, seed=seed), key, plain)
+    return recovery_psnr([add_salt_pepper(cipher, density, seed=seed)], key, plain)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -15,6 +15,7 @@ import dataclasses
 import functools
 import re
 import struct
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -438,29 +439,39 @@ def _power(table: np.ndarray, rounds: int, pool: list | None = None) -> np.ndarr
 
 
 def _words(stack: MultiImage, sched: KeySchedule | None = None) -> np.ndarray:
-    """The stack as (2**k, 4**n) words, row i image i; refuses a non-stack or a schedule for another n or k."""
-    s, k = stack.m_prime, stack.m_prime.bit_length() - 1
-    if s != 1 << k or stack.bit_depth != s:
-        raise ValueError(f"a stack holds 2**k images of 2**k-bit pixels, not {s} of {stack.bit_depth} bits")
+    """The stack as (B, 2**k, 4**n) words, row [b, i] image i of stack b.
+
+    A stack is 2**k images of 2**k-bit pixels, and B >= 1 of them may lie
+    end to end in one MultiImage (B * 2**k images), which every stage moves
+    under one schedule; this is the one place that counts them.  Refuses
+    anything else, or a schedule for another n or k.
+    """
+    s, k = stack.bit_depth, stack.bit_depth.bit_length() - 1
+    if s != 1 << k or stack.m_prime % s:
+        raise ValueError(
+            f"a stack holds 2**k images of 2**k-bit pixels (or several such stacks end to end), "
+            f"not {stack.m_prime} of {s} bits"
+        )
     if sched is not None and (sched.n, sched.k) != (stack.n, k):
         raise ValueError(f"the schedule is for n={sched.n}, k={sched.k}, but the stack has n={stack.n}, k={k}")
-    return stack.pixels.reshape(s, -1)
+    return stack.pixels.reshape(-1, s, 1 << (2 * stack.n))
 
 
 def _permute(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
-    Slot (i, l) of pixel p's fibre is plane l of _words[i, p].  Pixels go
-    in chunks of about _CHUNK index entries, and at least one pixel, unpacked
-    by brqmi's codec (_split_planes, then _join_planes) into a (slot, pixel)
-    block; the chunk's rows of stage1_tables become one flat, C-ordered intp
-    index into that block, so numpy takes its fast 1-D path.  Forward
+    Slot (i, l) of pixel p's fibre in stack b is plane l of _words[b, i, p].
+    Pixels go in chunks of about _CHUNK index entries, and at least one
+    pixel; the chunk's rows of stage1_tables become one flat, C-ordered intp
+    index, built once per chunk and used for every stack, so numpy takes its
+    fast 1-D path.  Each stack's chunk is unpacked by brqmi's codec
+    (_split_planes, then _join_planes) into a (slot, pixel) block.  Forward
     scatters with a pixel's table (moved[t[i]] = fibre[i]), the inverse
     gathers (moved[i] = fibre[t[i]]).
     """
     words = _words(stack, sched)
     out = np.empty_like(words)
-    s, pixels = words.shape
+    _, s, pixels = words.shape
     codes, tables = sched.stage1_tables
     step = max(1, _CHUNK // s**2)
     for c0 in range(0, pixels, step):
@@ -468,37 +479,42 @@ def _permute(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage
         # without order="C" the product of the transposed rows keeps F order, and ravel copies it
         lin = np.multiply(tables[codes[c0:c1]].T, c1 - c0, dtype=np.intp, order="C")
         lin += np.arange(c1 - c0)
-        fibres = brqmi._split_planes(words[:, c0:c1], s)
-        if inverse:
-            moved = fibres.ravel()[lin.ravel()].reshape(fibres.shape)
-        else:
-            moved = np.empty_like(fibres)
-            moved.ravel()[lin.ravel()] = fibres.ravel()
-        brqmi._join_planes(moved, out[:, c0:c1])
+        lin = lin.ravel()
+        for src, dst in zip(words, out):  # one stack at a time
+            fibres = brqmi._split_planes(src[:, c0:c1], s)
+            if inverse:
+                moved = fibres.ravel()[lin].reshape(fibres.shape)
+            else:
+                moved = np.empty_like(fibres)
+                moved.ravel()[lin] = fibres.ravel()
+            brqmi._join_planes(moved, dst[:, c0:c1])
     return dataclasses.replace(stack, pixels=out.reshape(stack.pixels.shape))
 
 
 def _permute_slices(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage:
-    """Stage 2's kernel: permute each (image, plane) slice's pixels, one slice at a time.
+    """Stage 2's kernel: permute each (image, plane) slice's pixels, one slot at a time.
 
-    Slice (i, l), bit l of row i of _words (brqmi's plane order), moves
-    alone by sched.stage2_table(i * 2**k + l): forward scatters row i
-    (moved[t[p]] = row[p]), the inverse gathers it (moved[p] = row[t[p]]),
-    and moved, masked to bit l, is ORed into row i of the output.
+    Slice (i, l) of stack b, bit l of _words[b, i] (brqmi's plane order),
+    moves by sched.stage2_table(i * 2**k + l), built once per slot for
+    every stack: forward scatters row i (moved[t[p]] = row[p]), the inverse
+    gathers it (moved[p] = row[t[p]]), and moved, masked to bit l, is ORed
+    into row i of the output.
     """
-    words, s = _words(stack, sched), stack.m_prime
+    words = _words(stack, sched)
+    s = words.shape[1]
     out = np.zeros_like(words)
-    moved = np.empty_like(words[0])
-    pool = [np.empty(words.shape[1], np.intp) for _ in range(2)]
+    moved = np.empty_like(words[0, 0])
+    pool = [np.empty(words.shape[2], np.intp) for _ in range(2)]
     for i, l in np.ndindex(s, s):
         bit = words.dtype.type(1 << l)
         table = sched.stage2_table(i * s + l, pool)
-        if inverse:
-            np.take(words[i], table, out=moved, mode="clip")
-        else:
-            moved[table] = words[i]
-        moved &= bit
-        out[i] |= moved
+        for src, dst in zip(words, out):  # one stack at a time
+            if inverse:
+                np.take(src[i], table, out=moved, mode="clip")
+            else:
+                moved[table] = src[i]
+            moved &= bit
+            dst[i] |= moved
     return dataclasses.replace(stack, pixels=out.reshape(stack.pixels.shape))
 
 
@@ -535,10 +551,12 @@ def diffuse(stack: MultiImage, grids: tuple[np.ndarray, ...]) -> MultiImage:
     (image, x, y) is the keystream bit of site (image, plane l, x, y), in
     brqmi's plane order, so XORing image m with its grid XORs each of the
     4**(n+k) sites exactly once.  Padded image m takes grids[m % len(grids)],
-    so all 2**k images get live keystream.
+    so all 2**k images get live keystream; stacks laid end to end (see
+    _words) each take the same grids.
     """
-    keystream = np.stack([grids[m % len(grids)] for m in range(len(_words(stack)))])
-    return dataclasses.replace(stack, pixels=stack.pixels ^ keystream)
+    words = _words(stack)
+    keystream = np.stack([grids[m % len(grids)].ravel() for m in range(words.shape[1])])
+    return dataclasses.replace(stack, pixels=(words ^ keystream).reshape(stack.pixels.shape))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +574,12 @@ def _bare(key: SecretKey) -> SecretKey:
 # recent seeded keys are kept, so a decrypt after its encrypt recomputes
 # neither the seed nor the grids.  The schedule also keeps each stage-2
 # slot's strip layout, but no stage-2 table: all of them would take 8 MB
-# even in uint16 at n=8 with 3 images, and 67 MB at n=9.
+# even in uint16 at n=8 with 3 images, and 67 MB at n=9.  Passes that run
+# together share a table without keeping it: encrypt_all and decrypt_all
+# move every set through one pass of each stage, which builds each stage-1
+# chunk index and each stage-2 table once for all of them.  So analyze's
+# twin encrypts share one pass of each stage and its two probe decrypts
+# another: 2 * 4**k stage-2 table builds per analyze, not 4 * 4**k.
 # Threads may share both caches: lru_cache keeps its entries consistent, but
 # threads that miss together each derive the material.
 
@@ -587,36 +610,77 @@ def _grids(key: SecretKey) -> tuple[np.ndarray, ...]:
     return tuple(grids)
 
 
+def _join(stacks: Sequence[MultiImage]) -> MultiImage:
+    """stacks laid end to end in one MultiImage (see _words); a single stack is returned as it is, uncopied."""
+    if len(stacks) == 1:
+        return stacks[0]
+    return dataclasses.replace(stacks[0], pixels=np.concatenate([stack.pixels for stack in stacks]))
+
+
+def _split(stack: MultiImage, count: int) -> list[MultiImage]:
+    """The count stacks laid end to end in stack, each a view of its pixels."""
+    return [dataclasses.replace(stack, pixels=part) for part in np.split(stack.pixels, count)]
+
+
+def encrypt_all(sets: Sequence[MultiImage], key: SecretKey) -> list[tuple[MultiImage, SecretKey]]:
+    """Encrypt image sets under one key, all of them in one pass of each stage.
+
+    Returns, for each set in turn, what encrypt(images, key) returns for it,
+    byte for byte.  Each set is diffused with the grids seeded from its own
+    sums, but each stage-1 chunk index and each stage-2 table is built once
+    for all of them.  Every set's orbits are walked before any scrambling,
+    so a key that degenerates for any of the sets is refused first.
+    """
+    if not sets:
+        return []
+    keys = []
+    for images in sets:
+        if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
+            raise ValueError("key geometry does not match the image set")
+        intensity_sum, bit_count = derive_seed(images)
+        keys.append(dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count))
+    grids = [_grids(seeded) for seeded in keys]  # orbits first: a degenerate key is refused before any scrambling
+    sched = _schedule(_bare(key))
+    # nested calls: no name holds a finished stage's stack while the next stage runs
+    stack = scramble_positions(scramble_images_planes(_join([decompose(images) for images in sets]), sched), sched)
+    return [(diffuse(part, g), seeded) for part, g, seeded in zip(_split(stack, len(sets)), grids, keys)]
+
+
+def decrypt_all(ciphertexts: Sequence[MultiImage], key: SecretKey) -> list[tuple[MultiImage, int]]:
+    """Decrypt ciphertexts under one seeded key, all of them in one pass of each stage.
+
+    Returns, for each ciphertext in turn, what decrypt(cipher, key) returns
+    for it, byte for byte, with each stage-1 chunk index and each stage-2
+    table built once for all of them.
+    """
+    if not ciphertexts:
+        return []
+    for cipher in ciphertexts:
+        if (cipher.n, cipher.m_prime, cipher.bit_depth) != (key.n, 1 << key.k, 1 << key.k):
+            raise ValueError("ciphertext geometry does not match the key")
+    grids = _grids(key)
+    sched = _schedule(_bare(key))
+    stack = inverse_scramble_images_planes(inverse_scramble_positions(diffuse(_join(ciphertexts), grids), sched), sched)
+    return [recompose(part, key.m_prime, key.bit_depth) for part in _split(stack, len(ciphertexts))]
+
+
 def encrypt(images: MultiImage, key: SecretKey) -> tuple[MultiImage, SecretKey]:
-    """Encrypt an image set.
+    """Encrypt an image set: encrypt_all of the one set.
 
     Returns the ciphertext (2**k images of 2**k-bit pixels) and the key
     updated with the exact plaintext statistics; the updated key must be
     stored, since decryption reseeds the keystream from it.  A key whose
     orbits degenerate for this plaintext is refused before any scrambling.
     """
-    if images.n != key.n or images.m_prime != key.m_prime or images.bit_depth != key.bit_depth:
-        raise ValueError("key geometry does not match the image set")
-    intensity_sum, bit_count = derive_seed(images)
-    key = dataclasses.replace(key, intensity_sum=intensity_sum, bit_count=bit_count)
-    grids = _grids(key)  # orbits first: a degenerate key is refused before any scrambling
-    sched = _schedule(_bare(key))
-    # nested calls: no name holds a finished stage's stack while the next stage runs
-    stack = scramble_positions(scramble_images_planes(decompose(images), sched), sched)
-    return diffuse(stack, grids), key
+    return encrypt_all([images], key)[0]
 
 
 def decrypt(cipher: MultiImage, key: SecretKey) -> tuple[MultiImage, int]:
-    """Invert the pipeline; returns (images, stray_padding_bits).
+    """Invert the pipeline (decrypt_all of the one ciphertext); returns (images, stray_padding_bits).
 
     stray_padding_bits counts set bits left in padding slots after
     inversion.  Zero means clean recovery; anything else signals a wrong
     key or corrupted ciphertext, but the recovered images are still
     returned for inspection.
     """
-    if (cipher.n, cipher.m_prime, cipher.bit_depth) != (key.n, 1 << key.k, 1 << key.k):
-        raise ValueError("ciphertext geometry does not match the key")
-    grids = _grids(key)
-    sched = _schedule(_bare(key))
-    stack = inverse_scramble_images_planes(inverse_scramble_positions(diffuse(cipher, grids), sched), sched)
-    return recompose(stack, key.m_prime, key.bit_depth)
+    return decrypt_all([cipher], key)[0]

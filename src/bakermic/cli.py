@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, baker, chaos, qcircuit
 from .brqmi import PGM_MAX_DEPTH, MultiImage, load_multi, save_multi, stack_exponent, write_atomic
 from .chaos import DegenerateKeyError
-from .cipher import decrypt, encrypt, make_key, read_key, write_key
+from .cipher import decrypt, encrypt, encrypt_all, make_key, read_key, write_key
 
 
 class UsageError(Exception):
@@ -61,6 +61,9 @@ def _check_savable(k: int) -> None:
 
 
 def cmd_keygen(args) -> int:
+    # random.Random seeds from the absolute value of an int, so -5 would draw the key of 5
+    if args.seed is not None and args.seed < 0:
+        raise UsageError(f"--seed must be nonnegative, got {args.seed}")
     _check_savable(stack_exponent(args.images, args.depth))
     rng = random.Random(args.seed) if args.seed is not None else random.SystemRandom()
     key = make_key(
@@ -172,17 +175,19 @@ def cmd_analyze(args) -> int:
         plain = load_multi(args.inp)
         if block is not None:
             analysis.check_block(block, plain.side)
-        a, key1 = encrypt(plain, key)
-        b, _ = encrypt(_flip_one_bit(plain), key)
+        # the twins share one pass of each stage, and so do the probes below
+        (a, key1), (b, _) = encrypt_all([plain, _flip_one_bit(plain)], key)
     _set_metrics(report, a, args.seed)
     report.npcr, report.uaci = analysis.npcr_uaci(a.pixels, b.pixels, a.bit_depth)
     report.bit_diff = analysis.bit_difference_rate(a.pixels, b.pixels, a.bit_depth)
+    probes = {}
     if block is not None:
-        series = analysis.occlusion_test(a, key1, plain, block)
-        report.psnr_series["occlusion"] = list(series)
+        probes["occlusion"] = analysis.occlude(a, block)
     if args.density is not None:
-        series = analysis.noise_test(a, key1, plain, args.density, seed=args.seed)
-        report.psnr_series[f"noise_{args.density:g}"] = list(series)
+        probes[f"noise_{args.density:g}"] = analysis.add_salt_pepper(a, args.density, seed=args.seed)
+    if probes:
+        for label, series in zip(probes, analysis.recovery_psnr(list(probes.values()), key1, plain)):
+            report.psnr_series[label] = list(series)
     _write_text(args.out, report.render())
     return 0
 

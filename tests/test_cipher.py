@@ -22,9 +22,11 @@ from bakermic.cipher import (
     _power,
     SecretKey,
     decrypt,
+    decrypt_all,
     derive_schedule,
     diffuse,
     encrypt,
+    encrypt_all,
     float_to_hex,
     hex_to_float,
     inverse_scramble_images_planes,
@@ -36,7 +38,7 @@ from bakermic.cipher import (
     write_key,
 )
 
-from conftest import natural_images, random_images, stage1_array
+from conftest import forget_keys, natural_images, random_images, stage1_array
 from oracles import key_int
 from test_kat import KAT, kat_case
 
@@ -654,6 +656,70 @@ def test_stages_refuse_a_schedule_for_another_geometry(stage):
             stage(images, sched)
 
 
+@pytest.mark.parametrize("count", [2, 3])
+@pytest.mark.parametrize("k", range(5))
+def test_a_batched_pass_gives_the_bytes_of_single_passes(monkeypatch, k, count):
+    # stacks laid end to end move under one schedule exactly as each moves
+    # alone; a small _CHUNK gives stage 1 several chunks at every k
+    monkeypatch.setattr(cipher_module, "_CHUNK", 64)
+    s = 1 << k
+    sched = derive_schedule(make_key(n=3, m_prime=s, bit_depth=s, rng=random.Random(40 + k)))
+    stacks = [random_images(n=3, count=s, seed=10 * k + b, bit_depth=s) for b in range(count)]
+    batch = MultiImage(n=3, bit_depth=s, pixels=np.concatenate([stack.pixels for stack in stacks]))
+    for stage in STAGES:
+        expected = np.concatenate([stage(stack, sched).pixels for stack in stacks])
+        assert np.array_equal(stage(batch, sched).pixels, expected), stage.__name__
+
+
+def _flipped(images: MultiImage) -> MultiImage:
+    pixels = images.pixels.copy()
+    pixels[0, 0, 0] ^= 1
+    return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
+
+
+def test_encrypt_all_and_decrypt_all_give_the_bytes_of_single_calls():
+    key = make_key(n=3, m_prime=3, bit_depth=8, rng=random.Random(44))
+    images = natural_images(3, 3, seed=44)
+    sets = [images, _flipped(images)]  # twins with different plaintext sums
+    assert derive_seed(sets[0]) != derive_seed(sets[1])
+    batched = encrypt_all(sets, key)
+    forget_keys()
+    singles = [encrypt(images, key) for images in sets]
+    assert [seeded for _, seeded in batched] == [seeded for _, seeded in singles]
+    for (got, _), (want, _) in zip(batched, singles):
+        assert np.array_equal(got.pixels, want.pixels)
+
+    # one clean ciphertext, one damaged, and one under another seed: all three
+    # decrypt as they do alone, stray padding bits included
+    (c0, k0), (c1, _) = batched
+    damaged = c0.pixels.copy()
+    damaged[5, 2, 3] ^= 0x41
+    ciphertexts = [c0, MultiImage(n=3, bit_depth=8, pixels=damaged), c1]
+    forget_keys()
+    together = decrypt_all(ciphertexts, k0)
+    forget_keys()
+    alone = [decrypt(c, k0) for c in ciphertexts]
+    assert [stray for _, stray in together] == [stray for _, stray in alone]
+    assert together[0][1] == 0 and together[1][1] > 0 and together[2][1] > 0
+    for (got, _), (want, _) in zip(together, alone):
+        assert np.array_equal(got.pixels, want.pixels)
+    assert np.array_equal(together[0][0].pixels, images.pixels)
+    assert encrypt_all([], key) == [] and decrypt_all([], k0) == []
+
+
+def test_encrypt_all_refuses_a_degenerate_twin_before_any_work(monkeypatch):
+    # the flipped twin of test_degenerate_orbit_fails_fast's plaintext degenerates:
+    # the batch is refused before its schedule is derived or anything is scrambled
+    key = make_key(8, 3, 8, random.Random(9001))
+    images = natural_images(8, 3, seed=7001)
+    work = []
+    for name in ("derive_schedule", "scramble_images_planes", "scramble_positions"):
+        monkeypatch.setattr(cipher_module, name, lambda *a, name=name: work.append(name))
+    with pytest.raises(DegenerateKeyError, match="for image 0"):
+        encrypt_all([images, _flipped(images)], key)
+    assert work == []
+
+
 def test_encrypt_peak_memory_is_a_few_stacks():
     # The bound is counted in stacks of one byte per bit, 4**(n+k) bytes
     # (4 MB here); one uint64 copy of such a stack alone would take eight.
@@ -686,6 +752,21 @@ def test_warm_pass_peak_memory_is_below_5_mb(direction):
     finally:
         tracemalloc.stop()
     assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
+
+
+def test_warm_batched_pass_peak_memory_is_below_10_mb():
+    # two sets in one pass of each stage hold at most twice what one set's warm pass does
+    images = natural_images(n=8, count=3, seed=5)
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
+    sets = [images, _flipped(images)]
+    encrypt_all(sets, key)  # warm: the schedule and both sets' grids stay cached for this key
+    tracemalloc.start()
+    try:
+        encrypt_all(sets, key)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 def test_degenerate_orbit_fails_fast(monkeypatch):

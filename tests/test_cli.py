@@ -30,6 +30,16 @@ def test_keygen_writes_readable_key(tmp_path, capsys):
     assert other.read_text() == path.read_text()
 
 
+def test_keygen_refuses_a_negative_seed(tmp_path, capsys):
+    # random.Random seeds from the absolute value of an int, so --seed -5
+    # would write the key that --seed 5 writes
+    path = tmp_path / "k.key"
+    assert run("keygen", "--key", str(path), "--n", "3", "--images", "3", "--seed", "-5") == 1
+    assert "--seed must be nonnegative, got -5" in capsys.readouterr().err
+    assert not path.exists()
+    assert run("keygen", "--key", str(path), "--n", "3", "--images", "3", "--seed", "0") == 0
+
+
 def test_keygen_options(tmp_path):
     path = tmp_path / "k.key"
     code = run(
@@ -402,7 +412,9 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys):
     # whitespace and a '-' are taken, and range checks stay where they were
     assert run("partitions", "count", " 3 ") == 0
     assert capsys.readouterr().out.strip() == "26"
-    assert run(*keygen, "--seed", "-5", "--depth", " 4") == 0 and read_key(key).bit_depth == 4
+    assert run(*keygen, "--seed", "-5", "--depth", " 4") == 1 and not key.exists()
+    assert "--seed must be nonnegative, got -5" in capsys.readouterr().err
+    assert run(*keygen, "--seed", " 5", "--depth", " 4") == 0 and read_key(key).bit_depth == 4
     assert run("analyze", "--in", "a.txt", "--in2", "b.txt", "--seed", " -1 ") == 1
     assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
 

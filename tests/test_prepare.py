@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from bakermic import analysis, cipher, cli
-from bakermic.brqmi import save_multi
+from bakermic.brqmi import MultiImage, save_multi
 from bakermic.cipher import decrypt, encrypt, make_key, write_key
 
 from conftest import forget_keys, natural_images, random_images
@@ -115,20 +115,41 @@ def test_one_prepared_keeps_seeds_apart(monkeypatch):
     assert np.array_equal(c3.pixels, encrypt(third, key)[0].pixels)
 
 
-def test_analyze_equals_unprepared_passes(tmp_path, monkeypatch):
-    key = make_key(3, 3, 8, random.Random(21))
-    plain = natural_images(3, 3, seed=21)
+@pytest.mark.parametrize(
+    "n, m_prime, depth",
+    [
+        pytest.param(2, 1, 1, id="k0"),
+        pytest.param(2, 2, 2, id="k1"),
+        pytest.param(3, 3, 4, id="k2"),
+        pytest.param(3, 3, 8, id="k3"),
+        pytest.param(3, 16, 8, id="k4"),
+    ],
+)
+def test_analyze_equals_unprepared_passes(tmp_path, monkeypatch, n, m_prime, depth):
+    key = make_key(n, m_prime, depth, random.Random(21))
+    plain = MultiImage(n=n, bit_depth=depth, pixels=natural_images(n, m_prime, seed=21).pixels >> (8 - depth))
     key_path, manifest = tmp_path / "k.key", tmp_path / "plain.manifest"
     write_key(key, key_path)
     save_multi(plain, manifest)
 
     counts = count_work(monkeypatch)
+    tables = []
+    table = cipher.KeySchedule.stage2_table
+
+    def counted_table(self, s, pool):
+        tables.append(s)
+        return table(self, s, pool)
+
+    monkeypatch.setattr(cipher.KeySchedule, "stage2_table", counted_table)
     out = tmp_path / "report.txt"
     argv = ["analyze", "--in", str(manifest), "--key", str(key_path), "--block", "0,0,4,4",
             "--density", "0.05", "--seed", "5", "--out", str(out)]
     assert cli.main(argv) == 0
     assert counts["schedules"] == 1  # one schedule for all four passes
-    assert counts["grids"] == 2 * 3  # one grid per source image per plaintext seed
+    assert counts["grids"] == 2 * m_prime  # one grid per source image per plaintext seed
+    # the twin encrypts share one pass of each stage and the two probe decrypts
+    # another, so each slot's stage-2 table is built twice, not four times
+    assert sorted(tables) == sorted(2 * list(range(4**key.k)))
     monkeypatch.undo()
 
     # The same four passes, each from a cold cache.
