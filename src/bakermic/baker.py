@@ -106,6 +106,11 @@ def _rows(n: int) -> np.ndarray:
     return rows
 
 
+def _cols(n: int, low: np.ndarray, x0: np.ndarray) -> np.ndarray:
+    """cols[..., x] = ((x - x0) << (low + n)) + x0 for column x of a strip starting at x0, in intp."""
+    return ((np.arange(1 << n) - x0) << (low + n)) + x0
+
+
 def strip_layout(n: int, qs: "tuple[int, ...]") -> tuple[np.ndarray, np.ndarray]:
     """Per-column arrays (low, cols) of the partition of 2**n with exponents qs.
 
@@ -115,20 +120,45 @@ def strip_layout(n: int, qs: "tuple[int, ...]") -> tuple[np.ndarray, np.ndarray]
     qs = np.asarray(qs, dtype=np.intp)
     widths = 1 << qs
     low = np.repeat(n - qs, widths)
-    x0 = np.repeat(np.cumsum(widths) - widths, widths)
-    cols = ((np.arange(1 << n) - x0) << (low + n)) + x0
-    return low, cols
+    return low, _cols(n, low, np.repeat(np.cumsum(widths) - widths, widths))
+
+
+def strip_layouts(n: int, ranks) -> tuple[np.ndarray, np.ndarray]:
+    """strip_layout of every ranked partition at once: (low, cols), each (len(ranks), 2**n) intp.
+
+    Row i is strip_layout(n, unrank(n, ranks[i]).qs), with no Python loop
+    over the ranks.  The ranks are unranked a level at a time, from the
+    whole side down: a segment of rank 0 is one strip, and any other splits
+    into halves ranked as unrank splits it.  Ranks go as Python ints until
+    they fit int64.  Every strip of an admissible partition starts on a
+    multiple of its width, so each column's strip start follows from its low.
+    """
+    seg = np.array(ranks, dtype=object).reshape(-1, 1)
+    if seg.size and not (seg.min() >= 0 and seg.max() < count_partitions(n)):
+        raise ValueError(f"rank out of range for n={n}")
+    low = np.empty((len(seg), 1 << n), np.intp)
+    for d in range(n + 1):  # seg: rank of each segment of width 2**(n - d), or -1 inside a strip
+        if count_partitions(n - d) <= 1 << 63:
+            seg = seg.astype(np.int64, copy=False)
+        low.reshape(len(seg), 1 << d, 1 << (n - d))[seg == 0] = d
+        if d == n:
+            break
+        half = count_partitions(n - d - 1)
+        halves = np.stack([(seg - 1) // half, (seg - 1) % half], axis=2)
+        seg = np.where((seg > 0)[:, :, None], halves, -1).reshape(len(seg), 2 << d)
+    return low, _cols(n, low, np.arange(1 << n) & -(1 << (n - low)))
 
 
 def strip_tables(n: int, low: np.ndarray, cols: np.ndarray) -> np.ndarray:
-    """Table of the map whose strip layout is (low, cols).
+    """Tables of the maps whose strip layouts are (low, cols).
 
-    low and cols are 1-D, of length 2**n; the result is 1-D, of length 4**n,
-    in intp, and is the one full-size array the build allocates.
+    low and cols have shape (..., 2**n); the result has shape (..., 4**n),
+    one table per layout, in intp, and is the one full-size array the build
+    allocates.
     """
     table = _rows(n)[low]
-    table += cols[:, None]
-    return table.ravel()
+    table += cols[..., None]
+    return table.reshape(low.shape[:-1] + (-1,))
 
 
 def permutation_table(part: BakerPartition) -> np.ndarray:

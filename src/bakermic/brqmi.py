@@ -11,9 +11,13 @@ shape of the ciphertext: decompose pads a set into one, and recompose cuts
 the source images back out.
 
 Plane order (plane l holds bit l) is stated here: _split_planes cuts values
-into planes, _join_planes packs them back, _popcount counts set bits, and
-every other module calls them; in cipher, stage 2's mask and diffusion's
-keystream take plane l as bit l of a pixel without cutting planes.
+into planes, the fibre codec _unpack_fibres and _pack_fibres moves stage 1's
+fibres between words and bytes, _popcount counts set bits, and every other
+module calls them; in cipher, stage 2's mask and diffusion's keystream take
+plane l as bit l of a pixel without cutting planes.  The codec's byte
+order: a word is laid out little-endian, byte j holding bits 8j..8j+7, and
+each byte is unpacked low bit first, so bit l of a word is its l-th
+unpacked bit.
 """
 
 from __future__ import annotations
@@ -46,10 +50,34 @@ def _split_planes(values: np.ndarray, depth: int) -> np.ndarray:
     return planes
 
 
-def _join_planes(planes: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """Inverse of _split_planes into out: out[m] = OR of planes[m, l] << l, in out's dtype."""
-    shifts = np.arange(planes.shape[1], dtype=out.dtype).reshape((-1,) + (1,) * (planes.ndim - 2))
-    return np.bitwise_or.reduce(planes << shifts, axis=1, dtype=out.dtype, out=out)
+def _unpack_fibres(words: np.ndarray) -> np.ndarray:
+    """fibres[p, i * depth + l] = bit l of words[i, p], in uint8, for (depth, pixels) words of depth-bit values.
+
+    The words are copied pixel-major in little-endian byte order and
+    unpacked one bit to a byte, low bit first (the byte order in the module
+    docstring), so slot i * depth + l of pixel p's fibre is plane l of word
+    i.  A word narrower than a byte (depth <= 4) is unpacked to a byte and
+    cut to its depth bits.
+    """
+    depth, count = words.shape
+    raw = np.ascontiguousarray(words.T, dtype=words.dtype.newbyteorder("<")).view(np.uint8)
+    bits = np.unpackbits(raw.ravel(), bitorder="little").reshape(count, depth, -1)
+    return bits[:, :, :depth].reshape(count, depth * depth)
+
+
+def _pack_fibres(fibres: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Inverse of _unpack_fibres into out, the (depth, pixels) words: out[i, p] = OR of fibres[p, i * depth + l] << l.
+
+    A word narrower than a byte is padded to a byte with zero bits before
+    packing, so no bit past depth is ever set.
+    """
+    depth, count = out.shape
+    bits = fibres.reshape(count, depth, depth)
+    if depth < 8:
+        bits = np.concatenate([bits, np.zeros((count, depth, 8 - depth), np.uint8)], axis=2)
+    raw = np.packbits(bits.ravel(), bitorder="little")
+    out[...] = raw.view(out.dtype.newbyteorder("<")).reshape(count, depth).T
+    return out
 
 
 _POP8 = np.array([bin(b).count("1") for b in range(256)], np.uint8)

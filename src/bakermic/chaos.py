@@ -15,6 +15,7 @@ to chebyshev.  Neither calls libm.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -342,23 +343,35 @@ def rank_perms(xs: list[float], ys: list[float]) -> RankPerms:
 # Keystream integers
 
 
-def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
-    """All keystream integers of one image as a (side, side) array.
+def keystream_grids(perms: Sequence[RankPerms], qs: Sequence[int], k: int) -> np.ndarray:
+    """All keystream integers of several images, as an (images, side, side) array.
 
-    Entry (i, j), 0-based, is
-    floor(T_s[i](ys[-1-i]) * T_t[j](xs[-1-j]) * 10**q) mod 2**(2**k), with
-    each Chebyshev factor computed once per row or column by a single
-    chebyshev_many call over both factor vectors, so the factors are the
-    values chebyshev returns.  The array has the narrowest unsigned type
-    that holds 2**(2**k) - 1.
+    Image m's entry (i, j), 0-based, is
+    floor(T_s[i](ys[-1-i]) * T_t[j](xs[-1-j]) * 10**qs[m]) mod 2**(2**k)
+    under perms[m], with every Chebyshev factor of every image computed once,
+    by a single chebyshev_many call over all their factor vectors, so the
+    factors are the values chebyshev returns.  The array has the narrowest
+    unsigned type that holds 2**(2**k) - 1.
     """
-    side = len(perms.s)
     width = 1 << k
     if width > 62:
         raise ValueError("plane count too large for the vectorised keystream")
-    ab = chebyshev_many(perms.s + perms.t, perms.ys[::-1] + perms.xs[::-1])
-    v = np.floor(np.outer(ab[:side], ab[side:]) * float(10**q)).astype(np.int64)
-    return (v % np.int64(1 << width)).astype(_dtype_for_depth(width))
+    if len(perms) != len(qs) or len({len(p.s) for p in perms}) > 1:
+        raise ValueError("keystream grids need one q per image and images of one side")
+    side = len(perms[0].s) if perms else 0
+    orders = [order for p in perms for order in p.s + p.t]
+    samples = [x for p in perms for x in p.ys[::-1] + p.xs[::-1]]
+    ab = chebyshev_many(orders, samples).reshape(len(perms), 2, side)
+    grids = np.empty((len(perms), side, side), _dtype_for_depth(width))
+    for grid, (a, b), q in zip(grids, ab, qs):  # one image at a time keeps the float and int64 temporaries small
+        v = np.floor(np.outer(a, b) * float(10**q)).astype(np.int64)
+        grid[...] = v % np.int64(1 << width)
+    return grids
+
+
+def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
+    """All keystream integers of one image as a (side, side) array: keystream_grids of that image alone."""
+    return keystream_grids([perms], [q], k)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,7 @@ from .chaos import (
     derive_seed,
     distinct_sequence,
     henon_walk,
-    keystream_grid,
+    keystream_grids,
     rank_perms,
     seed_from_sums,
 )
@@ -306,22 +306,38 @@ class KeySchedule:
     def stage1_tables(self) -> tuple[np.ndarray, np.ndarray]:
         """(codes, tables): pixel p moves its fibre by tables[codes[p]].
 
-        One table per distinct selection (rank, rounds): the base table of
-        each distinct rank is built once, and each row is that base powered
-        on its own.  Built on first use and kept, read-only, for every later
-        stage-1 pass under this schedule.  Both arrays use the narrowest
-        unsigned type that holds their values.
+        One table per distinct selection (rank, rounds), in the order of
+        rank * span + rounds (span: one past the largest rounds), found by
+        np.unique in the narrowest type that holds C(k) * span.  The strip
+        layouts of all distinct ranks come from one baker.strip_layouts
+        call.  Selections are powered by rounds value, a block of about
+        _CHUNK entries at a time: each block's base tables are built in intp
+        on flat indices, row r offset by r * 4**k, so every composition of
+        _power is one 1-D gather.  Built on first use and kept, read-only,
+        for every later stage-1 pass under this schedule.  Both arrays use
+        the narrowest unsigned type that holds their values.
         """
         rank, rounds = self.stage1["rank"], self.stage1["rounds"]
-        span = int(rounds.max()) + 1
-        # rank < C(5) = 458330 (k <= 5) and span <= 2**32 + 1, so keys stay below 2**51
-        keys, codes = np.unique(rank.astype(np.int64) * span + rounds.astype(np.int64), return_inverse=True)
-        sels = [divmod(key, span) for key in keys.tolist()]
+        span, size = int(rounds.max()) + 1, 1 << (2 * self.k)
+        # C(5) * (2**32 + 1) < 2**51 (k <= 5), so a key type exists
+        dtype = np.min_scalar_type(baker.count_partitions(self.k) * span)
+        keys = rank.astype(dtype) * dtype.type(span) + rounds.astype(dtype)
+        # return_index makes np.unique sort stably, which numpy does by radix
+        # sort up to 16 bits: 3-4x faster here than the quicksort it takes otherwise
+        keys, _, codes = np.unique(keys, return_index=True, return_inverse=True)
         codes = codes.astype(np.min_scalar_type(len(keys) - 1))
-        bases = {r: baker.permutation_table(baker.unrank(self.k, r)) for r in dict.fromkeys(r for r, _ in sels)}
-        tables = np.empty((len(sels), 1 << (2 * self.k)), np.min_scalar_type((1 << (2 * self.k)) - 1))
-        for row, (r, times) in zip(tables, sels):
-            row[:] = _power(bases[r], times)
+        ranks, which = np.unique(keys // span, return_inverse=True)
+        low, cols = baker.strip_layouts(self.k, ranks)
+        sel_rounds = keys % span
+        tables = np.empty((len(keys), size), np.min_scalar_type(size - 1))
+        step = max(1, _CHUNK // size)
+        for times in np.unique(sel_rounds).tolist():
+            group = np.flatnonzero(sel_rounds == times)
+            for g0 in range(0, len(group), step):
+                rows = group[g0 : g0 + step]
+                offsets = np.arange(0, len(rows) * size, size)[:, None]
+                base = baker.strip_tables(self.k, low[which[rows]], cols[which[rows]] + offsets).ravel()
+                tables[rows] = _power(base, times).reshape(len(rows), size) - offsets
         codes.flags.writeable = tables.flags.writeable = False
         return codes, tables
 
@@ -329,15 +345,13 @@ class KeySchedule:
     def stage2_layout(self) -> tuple[np.ndarray, np.ndarray]:
         """(low, cols): slot s's base table is baker.strip_tables(n, low[s], cols[s]).
 
-        Each slot's strip layout (baker.strip_layout), built once from its
-        rank and kept, read-only, for every later stage-2 pass: low in uint8
-        and cols in intp, each of shape (slots, 2**n).  That is 147 KB at
-        n=8 with 3 images and 295 KB at n=7 with 16 or at n=9 with 3.
+        Every slot's strip layout, from one baker.strip_layouts call over the
+        slots' ranks, kept read-only for every later stage-2 pass: low in
+        uint8 and cols in intp, each of shape (slots, 2**n).  That is 147 KB
+        at n=8 with 3 images and 295 KB at n=7 with 16 or at n=9 with 3.
         """
-        low = np.empty((len(self.stage2), 1 << self.n), np.uint8)
-        cols = np.empty(low.shape, np.intp)
-        for s, (rank, _) in enumerate(self.stage2):
-            low[s], cols[s] = baker.strip_layout(self.n, baker.unrank(self.n, rank).qs)
+        low, cols = baker.strip_layouts(self.n, [rank for rank, _ in self.stage2])
+        low = low.astype(np.uint8)
         low.flags.writeable = cols.flags.writeable = False
         return low, cols
 
@@ -460,34 +474,34 @@ def _words(stack: MultiImage, sched: KeySchedule | None = None) -> np.ndarray:
 def _permute(stack: MultiImage, sched: KeySchedule, inverse: bool) -> MultiImage:
     """Stage 1's kernel: permute each pixel's (image, plane) fibre, pixels in chunks.
 
-    Slot (i, l) of pixel p's fibre in stack b is plane l of _words[b, i, p].
-    Pixels go in chunks of about _CHUNK index entries, and at least one
-    pixel; the chunk's rows of stage1_tables become one flat, C-ordered intp
-    index, built once per chunk and used for every stack, so numpy takes its
-    fast 1-D path.  Each stack's chunk is unpacked by brqmi's codec
-    (_split_planes, then _join_planes) into a (slot, pixel) block.  Forward
-    scatters with a pixel's table (moved[t[i]] = fibre[i]), the inverse
-    gathers (moved[i] = fibre[t[i]]).
+    Slot (i, l) of pixel p's fibre in stack b is plane l of _words[b, i, p],
+    and it sits at i * 2**k + l of the pixel's row of brqmi._unpack_fibres,
+    one byte per bit.  Pixels go in chunks of about _CHUNK slots, and at
+    least one pixel; the chunk's rows of stage1_tables, each offset by its
+    pixel's place in the chunk, become one flat intp index, built once per
+    chunk and used for every stack, so numpy takes its fast 1-D path.
+    Forward scatters each byte by a pixel's table (moved[t[j]] = fibre[j]),
+    the inverse gathers (moved[j] = fibre[t[j]]), and brqmi._pack_fibres
+    packs the moved bytes back into the words.
     """
     words = _words(stack, sched)
     out = np.empty_like(words)
     _, s, pixels = words.shape
     codes, tables = sched.stage1_tables
     step = max(1, _CHUNK // s**2)
+    offsets = np.arange(step).repeat(s**2) * s**2  # a full chunk's row offsets, one per slot
     for c0 in range(0, pixels, step):
         c1 = min(c0 + step, pixels)
-        # without order="C" the product of the transposed rows keeps F order, and ravel copies it
-        lin = np.multiply(tables[codes[c0:c1]].T, c1 - c0, dtype=np.intp, order="C")
-        lin += np.arange(c1 - c0)
-        lin = lin.ravel()
+        lin = tables[codes[c0:c1]].astype(np.intp).ravel()
+        lin += offsets[: lin.size]
         for src, dst in zip(words, out):  # one stack at a time
-            fibres = brqmi._split_planes(src[:, c0:c1], s)
+            fibres = brqmi._unpack_fibres(src[:, c0:c1]).ravel()
             if inverse:
-                moved = fibres.ravel()[lin].reshape(fibres.shape)
+                moved = fibres[lin]
             else:
                 moved = np.empty_like(fibres)
-                moved.ravel()[lin] = fibres.ravel()
-            brqmi._join_planes(moved, dst[:, c0:c1])
+                moved[lin] = fibres
+            brqmi._pack_fibres(moved, dst[:, c0:c1])
     return dataclasses.replace(stack, pixels=out.reshape(stack.pixels.shape))
 
 
@@ -574,7 +588,10 @@ def _bare(key: SecretKey) -> SecretKey:
 # recent seeded keys are kept, so a decrypt after its encrypt recomputes
 # neither the seed nor the grids.  The schedule also keeps each stage-2
 # slot's strip layout, but no stage-2 table: all of them would take 8 MB
-# even in uint16 at n=8 with 3 images, and 67 MB at n=9.  Passes that run
+# even in uint16 at n=8 with 3 images, and 67 MB at n=9.  Each of these is
+# built in whole arrays when first needed: the stage-1 tables and the
+# stage-2 layouts from one baker.strip_layouts call each, and a key's grids
+# from one chebyshev_many call over all its images.  Passes that run
 # together share a table without keeping it: encrypt_all and decrypt_all
 # move every set through one pass of each stage, which builds each stage-1
 # chunk index and each stage-2 table once for all of them.  So analyze's
@@ -600,14 +617,14 @@ def _grids(key: SecretKey) -> tuple[np.ndarray, ...]:
     if key.intensity_sum is None:
         raise ValueError("key carries no plaintext statistics; encrypt first")
     seed = seed_from_sums(key.intensity_sum, key.bit_count, key.m_prime, key.bit_depth, key.n)
-    grids = []
+    perms = []
     for m, ip in enumerate(key.image_params):
         try:
             xs, ys = distinct_sequence(seed, ip, count=1 << key.n)
         except DegenerateKeyError as exc:
             raise DegenerateKeyError(exc.count, exc.found, exc.iterations, exc.cycled, image=m) from None
-        grids.append(keystream_grid(rank_perms(xs, ys), ip.q, key.k))
-    return tuple(grids)
+        perms.append(rank_perms(xs, ys))
+    return tuple(keystream_grids(perms, [ip.q for ip in key.image_params], key.k))
 
 
 def _join(stacks: Sequence[MultiImage]) -> MultiImage:

@@ -16,7 +16,7 @@ import math
 import numpy as np
 
 from bakermic.baker import BakerPartition
-from bakermic.brqmi import MultiImage, _dtype_for_depth, _join_planes
+from bakermic.brqmi import MultiImage, _dtype_for_depth, _pack_fibres
 from bakermic.chaos import RankPerms, chebyshev
 from bakermic.qcircuit import Circuit
 
@@ -123,8 +123,9 @@ def stack_of_bits(bits: np.ndarray) -> MultiImage:
     Packed by brqmi's codec; n and k come from the tensor's shape.
     """
     s, _, side, _ = bits.shape
-    pixels = _join_planes(bits, np.empty((s, side, side), _dtype_for_depth(s)))
-    return MultiImage(n=side.bit_length() - 1, bit_depth=s, pixels=pixels)
+    fibres = bits.reshape(s * s, side * side).T  # fibres[p, i * s + l] = bits[i, l, p]
+    pixels = _pack_fibres(fibres.astype(np.uint8), np.empty((s, side * side), _dtype_for_depth(s)))
+    return MultiImage(n=side.bit_length() - 1, bit_depth=s, pixels=pixels.reshape(s, side, side))
 
 
 def padding_mask(side: int, m_prime: int, bit_depth: int) -> np.ndarray:

@@ -1,3 +1,4 @@
+import random
 import re
 import tracemalloc
 
@@ -10,6 +11,8 @@ from bakermic.baker import (
     from_widths,
     parse_widths,
     permutation_table,
+    strip_layout,
+    strip_layouts,
     unrank,
 )
 
@@ -170,6 +173,25 @@ def test_permutation_table_allocates_one_full_size_array():
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * table.nbytes, f"peak {peak / table.nbytes:.2f}x the table"
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_strip_layouts_match_strip_layout_row_by_row(n):
+    # the whole-array unranking against unrank and strip_layout, one rank at
+    # a time: random ranks (Python ints past int64 from n = 7) and both ends
+    rng = random.Random(n)
+    count = count_partitions(n)
+    ranks = [0, count - 1] + [rng.randrange(count) for _ in range(40)]
+    low, cols = strip_layouts(n, ranks)
+    assert low.shape == cols.shape == (len(ranks), 1 << n)
+    assert low.dtype == cols.dtype == np.intp
+    for rank, row_low, row_cols in zip(ranks, low, cols):
+        want_low, want_cols = strip_layout(n, unrank(n, rank).qs)
+        assert np.array_equal(row_low, want_low) and np.array_equal(row_cols, want_cols), rank
+    assert strip_layouts(n, [])[0].shape == (0, 1 << n)
+    for bad in (-1, count):
+        with pytest.raises(ValueError, match="out of range"):
+            strip_layouts(n, [0, bad])
 
 
 def test_permutation_table_matches_scalar():

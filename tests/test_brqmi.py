@@ -192,9 +192,31 @@ def test_recompose_all_joins_a_random_full_stack():
     assert np.array_equal(decompose(full).bits, bits)
 
 
+@pytest.mark.parametrize("k", range(6))
+def test_fibre_codec_keeps_plane_order(k):
+    # slot i * 2**k + l of a pixel's unpacked fibre is bit l of word i, as
+    # _split_planes cuts it; packing gives the words back; and the bits that
+    # pad a word narrower than a byte (k <= 2) never reach the words
+    rng = np.random.default_rng(k)
+    depth, count = 1 << k, 37
+    words = rng.integers(0, 1 << depth, (depth, count), dtype=np.uint64).astype(_dtype_for_depth(depth))
+    fibres = brqmi._unpack_fibres(words[:, ::-1])  # a strided view, as stage 1 passes a chunk's columns
+    assert fibres.dtype == np.uint8 and fibres.shape == (count, depth * depth)
+    planes = brqmi._split_planes(words[:, ::-1], depth)  # planes[i, l, p]
+    assert np.array_equal(fibres.reshape(count, depth, depth), planes.transpose(2, 0, 1))
+    out = np.zeros((depth, 2 * count), words.dtype)
+    brqmi._pack_fibres(fibres, out[:, ::2])
+    assert np.array_equal(out[:, ::2], words[:, ::-1]) and not out[:, 1::2].any()
+    noise = rng.integers(0, 2, (count, depth * depth), dtype=np.uint8)
+    packed = brqmi._pack_fibres(noise, np.empty((depth, count), words.dtype))
+    assert int(packed.max()) < 1 << depth
+    assert np.array_equal(brqmi._unpack_fibres(packed), noise)
+
+
 def test_only_brqmi_packs_or_unpacks_planes():
     # plane order is stated once, in brqmi's codec: no other module packs
-    # planes with bitwise_or.reduce, and cipher unpacks none by a right shift
+    # planes with bitwise_or.reduce or calls packbits or unpackbits, and
+    # cipher unpacks none by a right shift
     offenders = []
     for path in sorted(Path(brqmi.__file__).parent.glob("*.py")):
         if path.name == "brqmi.py":
@@ -204,6 +226,7 @@ def test_only_brqmi_packs_or_unpacks_planes():
             packs = isinstance(node, ast.Attribute) and node.attr == "reduce" and (
                 getattr(value, "attr", None) == "bitwise_or" or getattr(value, "id", None) == "bitwise_or"
             )
+            packs = packs or getattr(node, "attr", getattr(node, "id", None)) in ("packbits", "unpackbits")
             unpacks = path.name == "cipher.py" and isinstance(getattr(node, "op", None), ast.RShift)
             if packs or unpacks:
                 offenders.append(f"{path.name}:{node.lineno}")

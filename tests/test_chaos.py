@@ -23,6 +23,7 @@ from bakermic.chaos import (
     henon_sine_step,
     henon_walk,
     keystream_grid,
+    keystream_grids,
     lyapunov_estimate,
     rank_perms,
     seed_from_sums,
@@ -408,6 +409,48 @@ def test_keystream_grid_matches_scalar_at_side_128():
     rng = np.random.default_rng(128)
     for i, j in rng.integers(0, 128, (500, 2)):
         assert grid[i, j] == key_int(int(i) + 1, int(j) + 1, perms, q=7, k=4), (i, j)
+
+
+def orbit_perms(count, images, seed):
+    """Rank permutations of `images` orbits of `count` distinct values, with their q values."""
+    rng = random.Random(seed)
+    perms, qs = [], []
+    while len(perms) < images:
+        try:
+            xs, ys = distinct_sequence(
+                (rng.uniform(-1.0, 1.0), rng.uniform(-1.0, 1.0)),
+                HenonSineParams(rng.uniform(2.0, 8.0), rng.uniform(2.0, 8.0)),
+                count=count,
+            )
+        except DegenerateKeyError:
+            continue
+        perms.append(rank_perms(xs, ys))
+        qs.append(rng.randrange(4, 16))
+    return perms, qs
+
+
+@pytest.mark.parametrize("k", [3, 4])
+@pytest.mark.parametrize("images", [1, 3, 16])
+def test_keystream_grids_equal_one_grid_at_a_time(k, images):
+    perms, qs = orbit_perms(16, images, seed=10 * k + images)
+    grids = keystream_grids(perms, qs, k)
+    assert grids.shape == (images, 16, 16)
+    for grid, p, q in zip(grids, perms, qs):
+        alone = keystream_grid(p, q, k)
+        assert grid.dtype == alone.dtype == np.min_scalar_type((1 << (1 << k)) - 1)
+        assert grid.tobytes() == alone.tobytes()
+
+
+def test_keystream_grids_equal_one_grid_at_a_time_when_every_factor_falls_back(monkeypatch):
+    perms, qs = orbit_perms(4, 3, seed=5)
+    want = [keystream_grid(p, q, 3) for p, q in zip(perms, qs)]
+    monkeypatch.setattr(chaos, "_BAND_UNIT", 1.0)  # chebyshev_many rounds nothing itself
+    calls = counting_chebyshev(monkeypatch)
+    grids = keystream_grids(perms, qs, 3)
+    assert len(calls) == 3 * 2 * 4
+    assert [g.tobytes() for g in grids] == [w.tobytes() for w in want]
+    with pytest.raises(ValueError, match="one q per image"):
+        keystream_grids(perms, qs[:2], 3)
 
 
 def test_keystream_bit_balance():

@@ -471,27 +471,64 @@ def scatter(values, table, times=1):
     return values
 
 
-@pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
-@pytest.mark.parametrize("n", [2, 3, 4])
+def cycle_order(table):
+    """The least positive power of the permutation table that is the identity: the lcm of its cycle lengths."""
+    seen, order = np.zeros(table.size, bool), 1
+    for start in range(table.size):
+        length, i = 0, start
+        while not seen[i]:
+            seen[i], i, length = True, table[i], length + 1
+        order = math.lcm(order, max(length, 1))
+    return order
+
+
+def wide_selections():
+    """test_schedule_format's wide key's stage-1 selections at k = 3, rounds up to 2**32."""
+    key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(5))
+    return derive_schedule(dataclasses.replace(key, n=2, r_max1=2**64 - 1)).stage1.tolist()
+
+
+@pytest.mark.parametrize("chunk", [1, 2 * 4**5, cipher_module._CHUNK])
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
 def test_tables_match_repeated_scatters(monkeypatch, n, chunk):
     # every rounds value 0..2n+1 in one shuffled schedule, with repeated
     # ranks, as stage-1 tables at k = n; each selection alone must give the
-    # same row.  stage1_tables reads no _CHUNK, so the rows
-    # hold whatever chunk stage 1's _permute is given
+    # same row.  A rounds group of up to five selections is powered in
+    # blocks of max(1, _CHUNK // 4**k) rows, so chunk 1 spans a block per
+    # row and 2 * 4**5 a block per two rows at k = 5.  At k = 3 the wide
+    # key's rounds, up to 2**32, are scattered their count modulo the map's order
     monkeypatch.setattr(cipher_module, "_CHUNK", chunk)
     rng = random.Random(n)
-    rounds = list(range(2 * n + 2)) * 2
+    rounds = list(range(2 * n + 2)) * 5
     rng.shuffle(rounds)
-    ranks = [rng.randrange(count_partitions(n)) for _ in range(3)]
-    sels = [(ranks[i % 3], r) for i, r in enumerate(rounds)]
+    ranks = [rng.randrange(count_partitions(n)) for _ in range(5)]
+    sels = [(ranks[i % 5], r) for i, r in enumerate(rounds)] + (wide_selections() if n == 3 else [])
+    assert n != 3 or max(r for _, r in sels) > 2**31
     size = 1 << (2 * n)
     codes, tables = KeySchedule(n=0, k=n, stage1=stage1_array(sels), stage2=[]).stage1_tables
     assert tables.dtype == np.min_scalar_type(size - 1) and tables.shape == (len(set(sels)), size)
     for (rank, r), row in zip(sels, tables[codes]):
         base = permutation_table(unrank(n, rank))
-        assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, r)), (rank, r)
+        times = r if r <= 2 * n + 1 else r % cycle_order(base)
+        assert np.array_equal(scatter(np.arange(size), row), scatter(np.arange(size), base, times)), (rank, r)
         _, (alone,) = KeySchedule(n=0, k=n, stage1=stage1_array([(rank, r)]), stage2=[]).stage1_tables
         assert alone.dtype == tables.dtype and np.array_equal(alone, row), (rank, r)
+
+
+@pytest.mark.parametrize("n, m_prime, bound_mb", [(7, 16, 3.5), (9, 3, 8)])
+def test_cold_stage1_tables_peak_memory(n, m_prime, bound_mb):
+    # a key's first stage1_tables holds its tables, the np.unique of its
+    # selections and one block of intp rows at a time; a tiny schedule at
+    # the same k first makes the lazy imports and baker's row cache
+    derive_schedule(make_key(n=1, m_prime=m_prime, bit_depth=8, rng=random.Random(4))).stage1_tables
+    sched = derive_schedule(make_key(n=n, m_prime=m_prime, bit_depth=8, rng=random.Random(3)))
+    tracemalloc.start()
+    try:
+        sched.stage1_tables
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound_mb * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
 @pytest.mark.parametrize("chunk", [1, cipher_module._CHUNK])
@@ -521,14 +558,17 @@ def test_stage2_rows_match_the_slow_path(monkeypatch, n, chunk):
 
 
 def test_no_pass_repeats_partition_work(monkeypatch):
-    # each slot's partition is unranked once per key, into the schedule's
-    # strip layout; later passes under the key build tables from it alone
-    calls = {"unrank": 0, "permutation_table": 0}
-    for name in calls:
+    # each slot's partition is unranked once per key, by one strip_layouts
+    # call into the schedule's strip layout, and each distinct stage-1 rank
+    # once, by another; later passes under the key build tables from them alone
+    calls = {"strip_layouts": 0, "ranks": 0, "unrank": 0, "permutation_table": 0}
+    for name in ("strip_layouts", "unrank", "permutation_table"):
         original = getattr(baker_module, name)
 
         def counted(*args, _name=name, _original=original):
             calls[_name] += 1
+            if _name == "strip_layouts":
+                calls["ranks"] += len(args[1])
             return _original(*args)
 
         monkeypatch.setattr(baker_module, name, counted)
@@ -536,13 +576,16 @@ def test_no_pass_repeats_partition_work(monkeypatch):
     plain = random_images(n=4, count=3, seed=21, bit_depth=8)
     sched = derive_schedule(key)
     scramble_positions(decompose(plain), sched)
-    assert calls == {"unrank": len(sched.stage2), "permutation_table": 0}
+    assert calls == {"strip_layouts": 1, "ranks": len(sched.stage2), "unrank": 0, "permutation_table": 0}
+    scramble_images_planes(decompose(plain), sched)
+    distinct_ranks = len(set(sched.stage1["rank"].tolist()))
+    assert calls == {"strip_layouts": 2, "ranks": len(sched.stage2) + distinct_ranks, "unrank": 0, "permutation_table": 0}
     cipher_module._schedule.cache_clear()
     cipher, updated = encrypt(plain, key)
-    calls.update(unrank=0, permutation_table=0)
+    calls.update(strip_layouts=0, ranks=0)
     back, stray = decrypt(cipher, updated)
     assert stray == 0 and np.array_equal(back.pixels, plain.pixels)
-    assert calls == {"unrank": 0, "permutation_table": 0}
+    assert calls == {"strip_layouts": 0, "ranks": 0, "unrank": 0, "permutation_table": 0}
 
 
 def test_stage1_tables_are_read_only():

@@ -20,20 +20,21 @@ flipped = cli._flip_one_bit  # the bit analyze flips: pixel [0, 0, 0], bit 0
 
 
 def count_work(monkeypatch):
-    """Count schedule derivations and keystream grids from here on."""
+    """Count schedule derivations and keystream grids (one per image keystream_grids returns) from here on."""
     counts = {"schedules": 0, "grids": 0}
-    derive, grid = cipher.derive_schedule, cipher.keystream_grid
+    derive, grids = cipher.derive_schedule, cipher.keystream_grids
 
     def counted_derive(key):
         counts["schedules"] += 1
         return derive(key)
 
-    def counted_grid(*args):
-        counts["grids"] += 1
-        return grid(*args)
+    def counted_grids(*args):
+        made = grids(*args)
+        counts["grids"] += len(made)
+        return made
 
     monkeypatch.setattr(cipher, "derive_schedule", counted_derive)
-    monkeypatch.setattr(cipher, "keystream_grid", counted_grid)
+    monkeypatch.setattr(cipher, "keystream_grids", counted_grids)
     return counts
 
 
