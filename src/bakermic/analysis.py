@@ -62,14 +62,36 @@ def adjacent_correlation(
     return float(np.corrcoef(a, b)[0, 1])
 
 
+# Elements per chunk of npcr_uaci and add_salt_pepper: their int64 and float64
+# temporaries stay this size however large the image set, 128 KB an array.
+_CHUNK = 1 << 14
+
+
+def _chunks(size: int):
+    """Slices that cover range(size) in order, _CHUNK elements at a time."""
+    return (slice(start, start + _CHUNK) for start in range(0, size, _CHUNK))
+
+
 def npcr_uaci(a: np.ndarray, b: np.ndarray, bit_depth: int) -> tuple[float, float]:
-    """Pixel change rate and mean absolute intensity change, in percent."""
-    a = np.asarray(a, dtype=np.int64)
-    b = np.asarray(b, dtype=np.int64)
+    """Pixel change rate and mean absolute intensity change, in percent.
+
+    Changed pixels and the sum of |a - b| are counted exactly in int64, one
+    chunk at a time, so no temporary is as large as the arrays.
+    """
+    a = np.asarray(a)
+    b = np.asarray(b)
     if a.shape != b.shape:
         raise ValueError("arrays must have identical shape")
-    npcr = 100.0 * float((a != b).mean())
-    uaci = 100.0 * float((np.abs(a - b) / ((1 << bit_depth) - 1)).mean())
+    a, b = a.reshape(-1), b.reshape(-1)
+    changed = total = 0
+    for part in _chunks(a.size):
+        diff = a[part].astype(np.int64)
+        diff -= b[part].astype(np.int64)
+        np.abs(diff, out=diff)
+        changed += int(np.count_nonzero(diff))
+        total += int(diff.sum())
+    npcr = 100.0 * (changed / a.size)
+    uaci = 100.0 * total / (a.size * ((1 << bit_depth) - 1))
     return npcr, uaci
 
 
@@ -121,16 +143,26 @@ def occlude(images: MultiImage, block: tuple[int, int, int, int]) -> MultiImage:
 
 
 def add_salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiImage:
-    """Flip a seeded random fraction of pixels to full black or white."""
+    """Flip a seeded random fraction of pixels to full black or white.
+
+    The generator draws one double per pixel in C order for the hits, then
+    one per pixel for the polarities, a chunk at a time: only the hit mask
+    spans the whole set.
+    """
     check_density(density)
     pixels = images.pixels.copy()
     if density > 0.0:
         rng = np.random.default_rng(seed)
-        hits = rng.random(pixels.shape) < density
-        polarity = rng.random(pixels.shape) < 0.5
+        flat = pixels.reshape(-1)
+        hits = np.empty(flat.size, dtype=bool)
+        for part in _chunks(flat.size):
+            np.less(rng.random(hits[part].size), density, out=hits[part])
         top = (1 << images.bit_depth) - 1
-        pixels[hits & polarity] = top
-        pixels[hits & ~polarity] = 0
+        for part in _chunks(flat.size):
+            hit = hits[part]
+            polarity = rng.random(hit.size) < 0.5
+            flat[part][hit & polarity] = top
+            flat[part][hit & ~polarity] = 0
     return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
 
 

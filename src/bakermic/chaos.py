@@ -19,7 +19,6 @@ from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
-from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_nearest, to_float
 
 from .brqmi import MultiImage, _dtype_for_depth, _popcount
 
@@ -83,8 +82,12 @@ def chebyshev(k: int, x: float) -> float:
     under workdps(40), without the wrapper and context overhead.  This is
     the reference: seed_from_sums (whose order is the bit count, up to
     millions) and the appendix table call it directly, and chebyshev_many
-    calls it for the entries it cannot round with certainty.
+    calls it for the entries it cannot round with certainty.  mpmath is
+    imported here, on the first value, so that commands that compute none
+    do not load it.
     """
+    from mpmath.libmp import from_float, mpf_acos, mpf_cos, mpf_mul_int, round_nearest, to_float
+
     k = int(k)
     if k < 0:
         raise ValueError("order must be nonnegative")

@@ -1,5 +1,6 @@
 import os
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,16 @@ def random_images(n: int, count: int, seed: int = 0, bit_depth: int = 8) -> Mult
     rng = np.random.default_rng(seed)
     pixels = rng.integers(0, 1 << bit_depth, size=(count, 1 << n, 1 << n))
     return MultiImage(n=n, bit_depth=bit_depth, pixels=pixels)
+
+
+def peak_bytes(fn, *args) -> int:
+    """Peak bytes tracemalloc counts while fn(*args) runs, from a trace started just before it."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 def temporaries(path) -> list[str]:

@@ -6,7 +6,8 @@ qcircuit.simulate_permutation for circuits, and brqmi.recompose's count of
 stray padding bits.  The functions here state the same rules one point, one
 pixel or one slot at a time, as the paper defines them, so tests can compare
 the two statements entry by entry.  stack_of_bits packs a bit tensor into a
-stack through brqmi's own codec.
+stack through brqmi's own codec.  salt_pepper is the whole-set form of
+analysis.add_salt_pepper, which draws its noise a chunk at a time.
 """
 
 from __future__ import annotations
@@ -134,3 +135,20 @@ def padding_mask(side: int, m_prime: int, bit_depth: int) -> np.ndarray:
     mask[m_prime:, :] = True
     mask[:, bit_depth:] = True
     return mask
+
+
+# ---------------------------------------------------------------------------
+# Salt-and-pepper noise, the whole set at once
+
+
+def salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiImage:
+    """analysis.add_salt_pepper as one draw over the set's shape for the hits, then one for the polarities."""
+    pixels = images.pixels.copy()
+    if density > 0.0:
+        rng = np.random.default_rng(seed)
+        hits = rng.random(pixels.shape) < density
+        polarity = rng.random(pixels.shape) < 0.5
+        top = (1 << images.bit_depth) - 1
+        pixels[hits & polarity] = top
+        pixels[hits & ~polarity] = 0
+    return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)

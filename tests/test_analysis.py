@@ -19,7 +19,8 @@ from bakermic.analysis import (
 from bakermic.brqmi import MultiImage, _split_planes
 from bakermic.cipher import encrypt, make_key
 
-from conftest import natural_images, random_images
+from conftest import natural_images, peak_bytes, random_images
+from oracles import salt_pepper
 
 
 def test_chi2_uniform_is_zero():
@@ -84,6 +85,17 @@ def test_npcr_uaci_partial():
     assert u == pytest.approx(100.0 * 51 / (255 * 4))
 
 
+def test_npcr_uaci_counts_every_chunk():
+    # 2.5 chunks of pixels: a dropped or doubled chunk changes both counts
+    rng = np.random.default_rng(3)
+    a, b = (rng.integers(0, 1 << 16, size=(5, 2, 4096), dtype=np.uint16) for _ in range(2))
+    b[0, 0, :100] = a[0, 0, :100]
+    diff = np.abs(a.astype(np.int64) - b)
+    npcr, uaci = npcr_uaci(a, b, 16)
+    assert npcr == 100.0 * (np.count_nonzero(diff) / a.size)
+    assert uaci == 100.0 * int(diff.sum()) / (a.size * 65535)
+
+
 def test_bit_difference_rate():
     a = np.zeros((4, 4), dtype=np.int64)
     assert bit_difference_rate(a, a, 8) == 0.0
@@ -138,6 +150,18 @@ def test_salt_pepper():
         add_salt_pepper(images, 1.5)
 
 
+@pytest.mark.parametrize("density", [0.0, 0.05, 0.3, 1.0])
+@pytest.mark.parametrize("n, count, depth", [(0, 1, 8), (6, 5, 8), (6, 7, 16), (7, 2, 12)])
+def test_salt_pepper_draws_the_pixels_of_one_whole_set_draw(n, count, depth, density):
+    # chunked draws of the same stream: 5 and 7 images of 4096 pixels end
+    # inside a chunk, and 2 of 16384 end on a chunk's edge
+    images = random_images(n=n, count=count, seed=n + count, bit_depth=depth)
+    for seed in (0, 1, 17):
+        got = add_salt_pepper(images, density, seed=seed)
+        assert got.pixels.dtype == images.pixels.dtype
+        assert np.array_equal(got.pixels, salt_pepper(images, density, seed=seed).pixels), seed
+
+
 def test_occlusion_and_noise_probes():
     key = make_key(n=4, m_prime=2, bit_depth=8, rng=random.Random(31))
     plain = natural_images(4, 2, seed=30)
@@ -177,3 +201,17 @@ def test_report_render():
 
 def test_report_empty():
     assert MetricsReport().render() == "\n"
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_measurements_hold_no_whole_set_temporary(n):
+    # 16 images of 16-bit pixels, the ciphertext of a k = 4 analyze: every
+    # wider temporary is one chunk, and the probe's set-sized arrays are its
+    # output and a one-byte hit mask
+    rng = np.random.default_rng(n)
+    a, b = (rng.integers(0, 1 << 16, size=(16, 1 << n, 1 << n), dtype=np.uint16) for _ in range(2))
+    images = MultiImage(n=n, bit_depth=16, pixels=a)
+    npcr_uaci(a, b, 16)
+    add_salt_pepper(images, 0.05)
+    assert peak_bytes(npcr_uaci, a, b, 16) < a.nbytes
+    assert peak_bytes(add_salt_pepper, images, 0.05) < 2 * a.nbytes

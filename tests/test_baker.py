@@ -1,6 +1,5 @@
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,6 +15,7 @@ from bakermic.baker import (
     unrank,
 )
 
+from conftest import peak_bytes
 from oracles import apply, apply_inverse, iterate
 
 P8 = 1947270476915296449559703445493848930452791205
@@ -165,13 +165,8 @@ def test_permutation_table_allocates_one_full_size_array():
     # the table is the build's one full-size array: the y-part rows are kept
     # after the first call, and each per-column array is 2**n entries
     part = unrank(8, 123456789)
-    permutation_table(part)
-    tracemalloc.start()
-    try:
-        table = permutation_table(part)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    table = permutation_table(part)
+    peak = peak_bytes(permutation_table, part)
     assert peak <= 1.25 * table.nbytes, f"peak {peak / table.nbytes:.2f}x the table"
 
 

@@ -4,7 +4,6 @@ import math
 import os
 import random
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -38,7 +37,7 @@ from bakermic.cipher import (
     write_key,
 )
 
-from conftest import forget_keys, natural_images, random_images, stage1_array
+from conftest import forget_keys, natural_images, peak_bytes, random_images, stage1_array
 from oracles import key_int
 from test_kat import KAT, kat_case
 
@@ -366,12 +365,7 @@ def test_derive_schedule_peak_memory_is_blocked():
     # as a list of int tuples); the stream's floats are held a block at a
     # time (all at once, the peak is about 17 MB).
     key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(5))
-    tracemalloc.start()
-    try:
-        derive_schedule(key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(derive_schedule, key)
     assert peak <= 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
@@ -522,12 +516,7 @@ def test_cold_stage1_tables_peak_memory(n, m_prime, bound_mb):
     # the same k first makes the lazy imports and baker's row cache
     derive_schedule(make_key(n=1, m_prime=m_prime, bit_depth=8, rng=random.Random(4))).stage1_tables
     sched = derive_schedule(make_key(n=n, m_prime=m_prime, bit_depth=8, rng=random.Random(3)))
-    tracemalloc.start()
-    try:
-        sched.stage1_tables
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(lambda: sched.stage1_tables)
     assert peak <= bound_mb * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
@@ -770,12 +759,7 @@ def test_encrypt_peak_memory_is_a_few_stacks():
     key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
     encrypt(images, key)  # warm: the schedule and grids stay cached for this key
     stack_bytes = 4 ** (key.n + key.k)
-    tracemalloc.start()
-    try:
-        encrypt(images, key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(encrypt, images, key)
     assert peak <= 4 * stack_bytes, f"peak {peak / 2**20:.1f} MB for a {stack_bytes / 2**20:.1f} MB stack"
 
 
@@ -788,12 +772,7 @@ def test_warm_pass_peak_memory_is_below_5_mb(direction):
     ciphertext, seeded = encrypt(images, key)  # warm: the schedule and grids stay cached for this key
     run = {"encrypt": lambda: encrypt(images, key), "decrypt": lambda: decrypt(ciphertext, seeded)}[direction]
     run()
-    tracemalloc.start()
-    try:
-        run()
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(run)
     assert peak <= 5 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 
@@ -803,12 +782,7 @@ def test_warm_batched_pass_peak_memory_is_below_10_mb():
     key = make_key(n=8, m_prime=3, bit_depth=8, rng=random.Random(3))
     sets = [images, _flipped(images)]
     encrypt_all(sets, key)  # warm: the schedule and both sets' grids stay cached for this key
-    tracemalloc.start()
-    try:
-        encrypt_all(sets, key)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    peak = peak_bytes(encrypt_all, sets, key)
     assert peak <= 10 * 2**20, f"peak {peak / 2**20:.2f} MB"
 
 

@@ -1,6 +1,9 @@
 import dataclasses
+import hashlib
 import os
 import random
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -9,9 +12,12 @@ from bakermic.baker import unrank
 from bakermic.brqmi import load_multi, save_multi
 from bakermic.chaos import DegenerateKeyError
 from bakermic.cipher import make_key, read_key, write_key
+import bakermic
+from bakermic import cli
 from bakermic.cli import main
 
 from conftest import natural_images, random_images, temporaries
+from test_kat import kat_case
 
 
 def run(*argv):
@@ -298,6 +304,28 @@ def test_analyze_pair_mode_on_single_pixel_images(tmp_path):
     assert "npcr = 0.0000%" in text
 
 
+# SHA-256 of the analyze --key --block --density report on kat_case(n, M',
+# depth) inputs: the report's bytes are pinned as the ciphertext's are
+ANALYZE_KAT = {
+    (5, 16, 8): ("3,5,10,7", "0.05", "4", "7ec049fa2f3238cbedf1b3263ffa691733288dfea4c2da430d78572cc36479b2"),
+    (5, 3, 16): ("0,9,32,4", "0.3", "7", "41f61382cb6546ba23f20a2bef2dbc453fde88e36effc392b6528f86c5351bc0"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ANALYZE_KAT))
+def test_analyze_report_keeps_its_bytes(case, tmp_path):
+    block, density, seed, want = ANALYZE_KAT[case]
+    key, images = kat_case(*case)
+    plain, key_path, report = tmp_path / "p.txt", tmp_path / "k.key", tmp_path / "report.txt"
+    save_multi(images, plain)
+    write_key(key, key_path)
+    assert run(
+        "analyze", "--in", str(plain), "--key", str(key_path), "--out", str(report),
+        "--block", block, "--density", density, "--seed", seed,
+    ) == 0
+    assert hashlib.sha256(report.read_bytes()).hexdigest() == want
+
+
 def test_analyze_checks_options_before_encrypting(tmp_path, capsys, monkeypatch):
     plain = tmp_path / "plain.txt"
     save_multi(natural_images(3, 2, seed=30), plain)  # 8x8 images
@@ -419,6 +447,36 @@ def test_integer_options_take_ascii_digits_only(tmp_path, capsys):
     assert "--seed must be nonnegative, got -1" in capsys.readouterr().err
 
 
+# Runs in a fresh interpreter: argv[1] is a directory holding the plaintext p.txt.
+MPMATH_PROBE = """
+import sys
+
+from bakermic import cli
+
+d = sys.argv[1]
+assert cli.main(["keygen", "--key", f"{d}/k.key", "--n", "3", "--images", "3", "--seed", "7"]) == 0
+assert cli.main(["circuit", "synth", "4,2,2", "--out", f"{d}/c.txt"]) == 0
+assert cli.main(["partitions", "count", "3"]) == 0
+loaded = ["mpmath" in sys.modules]
+assert cli.main(["encrypt", "--in", f"{d}/p.txt", "--key", f"{d}/k.key", "--out", f"{d}/c/set.txt"]) == 0
+loaded.append("mpmath" in sys.modules)
+print(loaded)
+"""
+
+
+def test_mpmath_loads_on_the_first_chebyshev_value(tmp_path):
+    # keygen, circuits and partitions compute no Chebyshev value, so they do
+    # not pay mpmath's import; encrypt's seed is one
+    save_multi(random_images(n=3, count=3, seed=2), tmp_path / "p.txt")
+    (tmp_path / "c").mkdir()
+    src = os.path.dirname(os.path.dirname(bakermic.__file__))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run(
+        [sys.executable, "-c", MPMATH_PROBE, str(tmp_path)], env=env, capture_output=True, text=True, check=True
+    )
+    assert done.stdout.splitlines()[-1] == "[False, True]", done.stderr
+
+
 def test_partitions_refuses_large_n_before_counting(capsys, monkeypatch):
     def no_count(n):
         raise AssertionError("C(n) was computed before the refusal")
@@ -512,6 +570,22 @@ def test_appendix_henon_accepts_a_large_finite_first_step(tmp_path):
     rows = orbit.read_text().splitlines()
     assert rows[1] == "0,1e+100,0.1"
     assert all(abs(float(c)) <= 1 for row in rows[2:] for c in row.split(",")[1:])
+
+
+def test_main_dispatches_to_the_handlers_bound_at_the_call(tmp_path, monkeypatch, capsys):
+    # perfbench's tracer times each command by replacing a cli.cmd_* attribute,
+    # which a parser kept from an earlier main() call would never reach
+    cases = [
+        ("cmd_partitions", ("partitions", "count", "3")),
+        ("cmd_circuit_synth", ("circuit", "synth", "4,2,2", "--out", str(tmp_path / "c.txt"))),
+    ]
+    for name, argv in cases:
+        assert run(*argv) == 0
+        calls = []
+        monkeypatch.setattr(cli, name, lambda args: calls.append(args.action) or 0)
+        assert run(*argv) == 0
+        assert calls == [argv[1]], name
+    capsys.readouterr()
 
 
 def test_stdout_output(capsys):

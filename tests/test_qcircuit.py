@@ -1,5 +1,4 @@
 import dataclasses
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +17,7 @@ from bakermic.qcircuit import (
     wire_name,
 )
 
+from conftest import peak_bytes
 from oracles import apply_gates, iterate
 
 
@@ -114,12 +114,7 @@ def test_simulate_refuses_a_wire_added_out_of_range():
 
 def simulate_peak(circ):
     simulate_permutation(circ)
-    tracemalloc.start()
-    try:
-        simulate_permutation(circ)
-        return tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+    return peak_bytes(simulate_permutation, circ)
 
 
 def test_simulate_peak_memory_is_below_twice_the_states():
