@@ -48,13 +48,6 @@ class BakerPartition:
     def widths(self) -> tuple[int, ...]:
         return tuple(1 << q for q in self.qs)
 
-    def prefix_sums(self) -> tuple[int, ...]:
-        """Left strip boundaries N_0 = 0 <= N_1 <= ... <= N_r = 2**n."""
-        sums = [0]
-        for q in self.qs:
-            sums.append(sums[-1] + (1 << q))
-        return tuple(sums)
-
     def is_admissible(self) -> bool:
         """True when every strip starts on a multiple of its own width."""
         start = 0

@@ -112,6 +112,8 @@ class MultiImage:
             raise ValueError("n must be nonnegative")
         if self.bit_depth < 1:
             raise ValueError("bit depth must be at least 1")
+        if self.bit_depth > 64:
+            raise ValueError(f"bit depth {self.bit_depth} exceeds 64, the widest unsigned dtype")
         pixels = np.asarray(self.pixels)
         if pixels.ndim != 3:
             raise ValueError("pixels must have shape (images, side, side)")

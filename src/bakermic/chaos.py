@@ -61,7 +61,7 @@ class HenonSineParams:
 def henon_sine_step(x: float, y: float, p: HenonSineParams) -> tuple[float, float]:
     """One step of the sine-wrapped Henon map; output stays in [-1, 1]^2.
 
-    The scalar form that distinct_sequence, henon_sine_lyapunov and `appendix henon` step.
+    The scalar form that distinct_sequence and `appendix henon` step.
     """
     x2 = math.sin(math.pi * p.lambda1 * (1.0 - HENON_A * x * x + y))
     y2 = math.sin(math.pi * p.lambda2 * (HENON_B * x))
@@ -375,66 +375,6 @@ def keystream_grids(perms: Sequence[RankPerms], qs: Sequence[int], k: int) -> np
 def keystream_grid(perms: RankPerms, q: int, k: int) -> np.ndarray:
     """All keystream integers of one image as a (side, side) array: keystream_grids of that image alone."""
     return keystream_grids([perms], [q], k)[0]
-
-
-# ---------------------------------------------------------------------------
-# Lyapunov estimation
-
-
-# The seed and length of henon_sine_lyapunov's orbit
-_LYAPUNOV_SEED = (0.1, 0.1)
-_LYAPUNOV_STEPS = 20_000
-
-
-@dataclass(frozen=True)
-class LyapunovEstimate:
-    value: float
-    skipped: int  # orbit points with zero derivative, excluded from the mean
-
-
-def lyapunov_estimate(f, dfdx, x0: float, iterations: int) -> LyapunovEstimate:
-    """Largest Lyapunov exponent of a 1-D map by orbit-averaged log |f'|."""
-    if iterations < 1:
-        raise ValueError("iterations must be positive")
-    x = x0
-    for _ in range(BURN_IN):
-        x = f(x)
-    total = 0.0
-    used = 0
-    skipped = 0
-    for _ in range(iterations):
-        d = dfdx(x)
-        if d == 0.0:
-            skipped += 1
-        else:
-            total += math.log(abs(d))
-            used += 1
-        x = f(x)
-    if used == 0:
-        raise ValueError("derivative vanished on the whole sampled orbit")
-    return LyapunovEstimate(value=total / used, skipped=skipped)
-
-
-def henon_sine_lyapunov(p: HenonSineParams) -> float:
-    """Largest Lyapunov exponent of the 2-D step by tangent-vector growth."""
-    _, (x, y) = henon_walk(_LYAPUNOV_SEED, p, BURN_IN)
-    vx, vy = 1.0, 0.0
-    total = 0.0
-    for _ in range(_LYAPUNOV_STEPS):
-        u = 1.0 - HENON_A * x * x + y
-        c1 = math.cos(math.pi * p.lambda1 * u) * math.pi * p.lambda1
-        c2 = math.cos(math.pi * p.lambda2 * (HENON_B * x)) * math.pi * p.lambda2
-        jvx = c1 * (-2.0 * HENON_A * x) * vx + c1 * vy
-        jvy = c2 * HENON_B * vx
-        norm = math.hypot(jvx, jvy)
-        if norm == 0.0:
-            # tangent collapsed; restart the direction without counting growth
-            vx, vy = 1.0, 0.0
-        else:
-            total += math.log(norm)
-            vx, vy = jvx / norm, jvy / norm
-        x, y = henon_sine_step(x, y, p)
-    return total / _LYAPUNOV_STEPS
 
 
 # ---------------------------------------------------------------------------

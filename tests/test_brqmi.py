@@ -66,6 +66,10 @@ def test_multi_image_validation():
     assert MultiImage(n=1, bit_depth=8, pixels=[[[255, 0], [1, 2]]]).pixels.dtype == np.uint8
     # a single 1x1 image is degenerate but well formed
     assert MultiImage(n=0, bit_depth=8, pixels=np.zeros((1, 1, 1), dtype=np.uint8)).side == 1
+    # no unsigned dtype holds 65 bits: the pixels would become an object array
+    with pytest.raises(ValueError, match="exceeds 64"):
+        MultiImage(n=0, bit_depth=65, pixels=np.zeros((1, 1, 1), np.uint8))
+    assert MultiImage(n=0, bit_depth=64, pixels=np.zeros((1, 1, 1), np.uint8)).pixels.dtype == np.uint64
 
 
 def test_decompose_plane_order():

@@ -19,19 +19,17 @@ from bakermic.chaos import (
     distinct_sequence,
     emit_chebyshev_table,
     emit_trajectory,
-    henon_sine_lyapunov,
     henon_sine_step,
     henon_walk,
     keystream_grid,
     keystream_grids,
-    lyapunov_estimate,
     rank_perms,
     seed_from_sums,
 )
 from bakermic.cipher import make_key
 
 from conftest import random_images
-from oracles import key_bits, key_int
+from oracles import henon_sine_lyapunov, key_bits, key_int, lyapunov_estimate
 
 
 def test_henon_sine_step_values():

@@ -1,8 +1,11 @@
+import ast
 import dataclasses
 import importlib
 import inspect
 import pkgutil
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +14,8 @@ import bakermic
 from bakermic.brqmi import MultiImage
 from bakermic.cipher import ImageParams, derive_schedule, make_key
 from bakermic.qcircuit import Circuit, Gate
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_every_exported_name_resolves():
@@ -21,6 +26,35 @@ def test_every_exported_name_resolves():
     namespace = {}
     exec("from bakermic import *", namespace)
     assert set(bakermic.__all__) <= set(namespace)
+
+
+def test_the_package_defines_only_what_it_or_the_tracer_names():
+    # a public function, class or method of a public class that no other
+    # code in the package names, and that the benchmark tracer does not wrap
+    # or read, runs only under tests: it belongs in tests/oracles.py
+    trees = [ast.parse(path.read_text()) for path in sorted(Path(bakermic.__file__).parent.glob("*.py"))]
+    named = set()
+    for node in (node for tree in trees for node in ast.walk(tree)):
+        if isinstance(node, ast.Name):
+            named.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            named.add(node.attr)
+        elif isinstance(node, ast.alias):
+            named.add(node.name)
+    tracer = (ROOT / "perfbench" / "tracing.py").read_text()
+
+    def public(body):
+        return [d for d in body if isinstance(d, (ast.FunctionDef, ast.ClassDef)) and not d.name.startswith("_")]
+
+    defined = [d for tree in trees for d in public(tree.body)]
+    defined += [m for d in defined if isinstance(d, ast.ClassDef) for m in public(d.body)]
+    unnamed = [d.name for d in defined if d.name not in named and not re.search(rf"\b{d.name}\b", tracer)]
+    assert unnamed == []
+
+
+def test_readme_api_sketch_runs():
+    (sketch,) = re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S)
+    exec(compile(sketch, "README.md", "exec"), {})
 
 
 def test_records_are_frozen():

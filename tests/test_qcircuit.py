@@ -11,14 +11,13 @@ from bakermic.qcircuit import (
     parse_text,
     parse_wire,
     simulate_permutation,
-    stats,
     synthesize,
     verify,
     wire_name,
 )
 
 from conftest import peak_bytes
-from oracles import apply_gates, iterate
+from oracles import apply_gates, iterate, stats
 
 
 def test_wire_names():
